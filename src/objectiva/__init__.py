@@ -19,16 +19,19 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     prob,
+    prob_batch,
     pure_state,
     random_effect,
     random_orthonormal,
     random_state,
+    stack_states,
     support_projector,
     tensor,
 )
 from .superposition import (
     SuperpositionSpec,
     is_member,
+    is_member_batch,
     is_orthogonal,
     is_sensitive_to_interference,
     make_pure_superposition,
@@ -46,8 +49,10 @@ from .measurement import (
     ReadingSet,
     build_premeasurement,
     discriminating_reading,
+    draw_patterns,
     joint_outcome_distribution,
     m_eval,
+    m_eval_batch,
     realized_effect,
     reduced_channel_state,
     sample_events,
@@ -58,6 +63,7 @@ from .theorems import (
     brute_force_effect_oracle,
     counterexample_search,
     degrade_reading,
+    inclusion_exclusion_batch,
     inclusion_exclusion_distribution,
     membership_violation,
     oracle_is_member,

@@ -194,7 +194,6 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
     checks.append(("fig1b-coincidence", run_fig1b(config)["pass"], ""))
 
     use_complement = mutation != "skipped-complement"
-    bad_pointers = None
     if mutation == "non-orthogonal-pointers":
         from .theorems import verify_theorem2
 
@@ -208,11 +207,11 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
         config = ScenarioConfig("fig1c_reduction", w1=w1, w2=1.0 - w1,
                                 seed=seed, trials=0)
         checks.append((f"fig1c-reduction[w1={w1}]",
-                       run_fig1c(config, bad_pointers, use_complement)["pass"], ""))
+                       run_fig1c(config, use_complement)["pass"], ""))
         config = ScenarioConfig("stern_gerlach", w1=w1, w2=1.0 - w1,
                                 seed=seed, trials=2000 if w1 == 0.5 else 0)
         checks.append((f"stern-gerlach[w1={w1}]",
-                       run_stern_gerlach(config, bad_pointers, use_complement)["pass"], ""))
+                       run_stern_gerlach(config, use_complement)["pass"], ""))
     return checks
 
 
@@ -232,11 +231,12 @@ def _check_necessity(seed: int) -> tuple:
     return True, f"disagreement grows to {previous:.3e} at noise 0.2"
 
 
-def verify_all(seed: int = 0, mutation: str | None = None,
-               stream=sys.stdout) -> bool:
-    """Run the full verification battery; print one line per check."""
+def verify_all(seed: int = 0, mutation: str | None = None, stream=None) -> bool:
+    """Run the full verification battery; print one line per check to
+    `stream` (the current sys.stdout when None)."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValidationError(f"unknown mutation hook {mutation!r}")
+    stream = sys.stdout if stream is None else stream
     checks = []
 
     def guarded(name, fn, *args):

@@ -104,18 +104,46 @@ def identity_effect(dim: int, tol: float = DEFAULT_TOL) -> Effect:
     return Effect(np.eye(dim), tol)
 
 
+def stack_states(states, dim: int) -> tuple:
+    """The matrices of `states` as one (n, dim, dim) array, with their
+    tolerances as an (n,) array: the operand of the batched evaluations."""
+    matrices = np.empty((len(states), dim, dim), dtype=np.complex128)
+    for k, x in enumerate(states):
+        if x.dim != dim:
+            raise DimensionMismatch(f"state {k} has dim {x.dim}, expected {dim}")
+        matrices[k] = x.matrix
+    return matrices, np.array([x.tol for x in states], dtype=float)
+
+
+def prob_batch(a: Effect, matrices: np.ndarray, tols) -> np.ndarray:
+    """Event probabilities Tr[A X_k] over a stack of validated state matrices.
+
+    `matrices` has shape (n, d, d); `tols` holds the states' tolerances (one
+    per state, or one for all). Every value gets the checks of `prob` and is
+    clamped to [0, 1]; an error names the first failing index.
+    """
+    if matrices.shape[1:] != (a.dim, a.dim):
+        raise DimensionMismatch(f"effect dim {a.dim} != state dim {matrices.shape[-1]}")
+    t = np.einsum("ij,nji->n", a.matrix, matrices)
+    p = t.real
+    tol = a.tol + np.asarray(tols, dtype=float)
+    bad = (np.abs(t.imag) > tol) | (p < -tol) | (p > 1.0 + tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if abs(t.imag[k]) > np.broadcast_to(tol, t.shape)[k]:
+            raise ValidationError(
+                f"probability trace of state {k} has imaginary residue {t.imag[k]:.3e}")
+        raise ValidationError(
+            f"probability {float(p[k])!r} of state {k} outside [0, 1] beyond tolerance")
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
 def prob(a: Effect, x: State) -> float:
-    """Event probability Tr[A X], clamped to [0, 1] within tolerance."""
+    """Event probability Tr[A X], clamped to [0, 1] within tolerance: the
+    one-state case of `prob_batch`."""
     if a.dim != x.dim:
         raise DimensionMismatch(f"effect dim {a.dim} != state dim {x.dim}")
-    t = complex(np.trace(a.matrix @ x.matrix))
-    tol = a.tol + x.tol
-    if abs(t.imag) > tol:
-        raise ValidationError(f"probability trace has imaginary residue {t.imag:.3e}")
-    p = t.real
-    if p < -tol or p > 1.0 + tol:
-        raise ValidationError(f"probability {p!r} outside [0, 1] beyond tolerance")
-    return min(max(p, 0.0), 1.0)
+    return float(prob_batch(a, x.matrix[None], x.tol)[0])
 
 
 def complement(a: Effect) -> Effect:
@@ -223,8 +251,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    try:
+        dim = int(obj["dim"])
+        m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed matrix payload: {exc}") from None
     if m.shape != (dim, dim):
         raise ValidationError(f"matrix payload shape {m.shape} does not match dim {dim}")
     return as_complex_matrix(m)

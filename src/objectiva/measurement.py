@@ -27,7 +27,7 @@ from .linalg import (
     matrix_from_json,
     matrix_to_json,
     partial_trace,
-    prob,
+    prob_batch,
     support_projector,
 )
 from .superposition import is_orthogonal
@@ -205,11 +205,19 @@ def realized_effect(model: MeasurementModel, readings: ReadingSet) -> Effect:
     return Effect(v.conj().T @ e @ v, model.tol)
 
 
+def m_eval_batch(model: MeasurementModel, readings: ReadingSet,
+                 matrices: np.ndarray, tols) -> np.ndarray:
+    """Coincidence probabilities of one reading set over a stack of object
+    states (see `linalg.stack_states`); the reading set is realized once."""
+    return prob_batch(realized_effect(model, readings), matrices, tols)
+
+
 def m_eval(model: MeasurementModel, readings: ReadingSet, x: State) -> float:
-    """Probability that every read channel fires (the coincidence event)."""
+    """Probability that every read channel fires (the coincidence event):
+    the one-state case of `m_eval_batch`."""
     if x.dim != model.object_dim:
         raise DimensionMismatch(f"state dim {x.dim} != object dim {model.object_dim}")
-    return prob(realized_effect(model, readings), x)
+    return float(m_eval_batch(model, readings, x.matrix[None], x.tol)[0])
 
 
 def verify_separability(model: MeasurementModel, x: State, mu: int, nu: int,
@@ -263,18 +271,28 @@ def joint_outcome_distribution(model: MeasurementModel, readings: ReadingSet,
     return dist
 
 
-def sample_events(model: MeasurementModel, readings: ReadingSet, x: State,
-                  trials: int, seed) -> list:
-    """Draw per-trial fire/no-fire records, deterministic per seed."""
+def draw_patterns(model: MeasurementModel, readings: ReadingSet, x: State,
+                  trials: int, seed) -> tuple:
+    """Draw one fire/no-fire pattern per trial, deterministic per seed.
+
+    Returns the patterns of `joint_outcome_distribution` as a list and the
+    drawn pattern index of every trial as an array.
+    """
     if trials < 0:
         raise ValidationError("trials must be nonnegative")
-    channels = readings.channels
     dist = joint_outcome_distribution(model, readings, x)
     patterns = list(dist)
     weights = np.array([dist[p] for p in patterns], dtype=float)
     weights /= weights.sum()
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(patterns), size=trials, p=weights)
+    return patterns, rng.choice(len(patterns), size=trials, p=weights)
+
+
+def sample_events(model: MeasurementModel, readings: ReadingSet, x: State,
+                  trials: int, seed) -> list:
+    """Per-trial fire/no-fire records of `draw_patterns`."""
+    channels = readings.channels
+    patterns, draws = draw_patterns(model, readings, x, trials, seed)
     return [
         {"trial": t, "outcomes": {mu: patterns[k][i] for i, mu in enumerate(channels)}}
         for t, k in enumerate(draws)

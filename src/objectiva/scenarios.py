@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .linalg import (
     matrix_from_json,
     prob,
     pure_state,
+    stack_states,
 )
 from .measurement import (
     ChannelLayout,
@@ -36,8 +38,8 @@ from .measurement import (
     ReadingSet,
     build_premeasurement,
     discriminating_reading,
-    m_eval,
-    sample_events,
+    draw_patterns,
+    m_eval_batch,
 )
 from .superposition import (
     DEFAULT_COHERENCE_GRID,
@@ -47,13 +49,18 @@ from .superposition import (
 )
 from .theorems import (
     degrade_reading,
-    inclusion_exclusion_distribution,
+    inclusion_exclusion_batch,
     verify_theorem1,
     verify_theorem2,
 )
 
 SCENARIOS = ("fig1a_interference", "fig1b_coincidence", "fig1c_reduction",
              "stern_gerlach", "custom")
+
+
+def _require_number(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,41 +77,59 @@ class ScenarioConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # tolerance first: the weight-sum check below depends on it
+        _require_number("tolerance", self.tol)
+        if self.tol < 0:
+            raise ValidationError(f"tolerance must be nonnegative, got {self.tol!r}")
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
+        for name in ("w1", "w2", "detector_noise"):
+            _require_number(name, getattr(self, name))
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+                raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+        for name in ("coherence_grid", "phase_grid"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise ValidationError(f"{name} must be a nonempty list of numbers")
+            for value in grid:
+                _require_number(f"{name} entry", value)
+        if not isinstance(self.extra, dict):
+            raise ValidationError("extra must be a JSON object")
         if abs(self.w1 + self.w2 - 1.0) > self.tol:
             raise ValidationError(f"weights sum to {self.w1 + self.w2!r}, expected 1")
         if not (0 <= self.w1 <= 1 and 0 <= self.w2 <= 1):
             raise ValidationError("weights must lie in [0, 1]")
-        if not self.coherence_grid or not self.phase_grid:
-            raise ValidationError("sampling grids must be nonempty")
         if not 0.0 <= self.detector_noise < 1.0:
             raise ValidationError("detector_noise must lie in [0, 1)")
-        if self.trials < 0:
-            raise ValidationError("trials must be nonnegative")
         object.__setattr__(self, "coherence_grid", tuple(float(c) for c in self.coherence_grid))
         object.__setattr__(self, "phase_grid", tuple(float(p) for p in self.phase_grid))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
+        if not isinstance(obj, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(obj).__name__}")
         obj = dict(obj)
         kwargs = {}
         if "weights" in obj:
-            w1, w2 = obj.pop("weights")
-            kwargs["w1"], kwargs["w2"] = float(w1), float(w2)
+            weights = obj.pop("weights")
+            if not isinstance(weights, list) or len(weights) != 2:
+                raise ValidationError(f"weights must be a list of two numbers, got {weights!r}")
+            for w in weights:
+                _require_number("weights entry", w)
+            kwargs["w1"], kwargs["w2"] = float(weights[0]), float(weights[1])
         for key in ("scenario", "w1", "w2", "coherence_grid", "phase_grid",
                     "detector_noise", "trials", "seed", "extra"):
             if key in obj:
                 kwargs[key] = obj.pop(key)
         for alias in ("tolerance", "tol"):
             if alias in obj:
-                kwargs["tol"] = float(obj.pop(alias))
+                value = obj.pop(alias)
+                _require_number("tolerance", value)
+                kwargs["tol"] = float(value)
         if obj:
             raise ValidationError(f"unknown config keys: {sorted(obj)}")
-        if "coherence_grid" in kwargs:
-            kwargs["coherence_grid"] = tuple(kwargs["coherence_grid"])
-        if "phase_grid" in kwargs:
-            kwargs["phase_grid"] = tuple(kwargs["phase_grid"])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -210,36 +235,35 @@ def _fire_idle_pointers(n_channels: int):
     return [(basis_vector(2, 1), basis_vector(2, 0)) for _ in range(n_channels)]
 
 
-def fig1c_setup(tol: float = DEFAULT_TOL, pointer_pairs=None):
+def fig1c_setup(tol: float = DEFAULT_TOL):
     """Two stacked non-absorbing detectors in one arm, watching the same branch."""
     x1 = pure_state(basis_vector(2, 0))
     x2 = pure_state(basis_vector(2, 1))
     layout = ChannelLayout((2, 2), labels=("detector-1", "detector-2"))
-    pointers = pointer_pairs if pointer_pairs is not None else _fire_idle_pointers(2)
-    model = build_premeasurement(x1, x2, layout, pointers, tol=tol)
+    model = build_premeasurement(x1, x2, layout, _fire_idle_pointers(2), tol=tol)
     readings = {mu: discriminating_reading(model, mu, x1, x2) for mu in (0, 1)}
     return model, readings, x1, x2
 
 
-def stern_gerlach_setup(tol: float = DEFAULT_TOL, pointer_pairs=None):
+def stern_gerlach_setup(tol: float = DEFAULT_TOL):
     """Spin-half object, two spatial channels recording the deflection branch."""
     up = pure_state(basis_vector(2, 0))
     down = pure_state(basis_vector(2, 1))
     layout = ChannelLayout((2, 2), labels=("screen-left", "screen-right"))
-    if pointer_pairs is None:
-        pointer_pairs = [(basis_vector(2, 0), basis_vector(2, 1)) for _ in range(2)]
+    pointer_pairs = [(basis_vector(2, 0), basis_vector(2, 1)) for _ in range(2)]
     model = build_premeasurement(up, down, layout, pointer_pairs, tol=tol)
     readings = {mu: discriminating_reading(model, mu, up, down) for mu in (0, 1)}
     return model, readings, up, down
 
 
-def _disagreement(model: MeasurementModel, a_mu: Effect, a_nu: Effect,
-                  x: State, use_complement: bool = True) -> float:
+def _disagreement(model: MeasurementModel, mu: int, nu: int, a_mu: Effect,
+                  a_nu: Effect, matrices: np.ndarray, tols,
+                  use_complement: bool = True) -> np.ndarray:
     # use_complement=False is the documented skipped-complement mutation hook
     b_nu = complement(a_nu) if use_complement else a_nu
     b_mu = complement(a_mu) if use_complement else a_mu
-    d1 = m_eval(model, ReadingSet({0: a_mu, 1: b_nu}), x)
-    d2 = m_eval(model, ReadingSet({0: b_mu, 1: a_nu}), x)
+    d1 = m_eval_batch(model, ReadingSet({mu: a_mu, nu: b_nu}), matrices, tols)
+    d2 = m_eval_batch(model, ReadingSet({mu: b_mu, nu: a_nu}), matrices, tols)
     return d1 + d2
 
 
@@ -247,27 +271,25 @@ def _two_channel_battery(model, readings, x1, x2, config: ScenarioConfig,
                          use_complement: bool = True) -> dict:
     spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
     members = _grid_members(spec, config)
+    matrices, tols = stack_states(members, spec.dim)
     eta = config.detector_noise
     a0 = degrade_reading(readings[0], eta) if eta > 0 else readings[0]
     a1 = degrade_reading(readings[1], eta) if eta > 0 else readings[1]
 
-    worst_disagree = 0.0
-    worst_both = 0.0
-    worst_oracle = 0.0
-    for x in members:
-        worst_disagree = max(worst_disagree,
-                             _disagreement(model, a0, a1, x, use_complement))
-        both = m_eval(model, ReadingSet({0: a0, 1: a1}), x)
-        worst_both = max(worst_both, abs(both - config.w1))
-        if eta > 0:
-            oracle = inclusion_exclusion_distribution(
-                model, ReadingSet({0: a0, 1: a1}), x)
-            direct = _disagreement(model, a0, a1, x, use_complement=True)
-            worst_oracle = max(worst_oracle,
-                               abs(direct - (oracle[(1, 0)] + oracle[(0, 1)])))
+    disagreement = _disagreement(model, 0, 1, a0, a1, matrices, tols, use_complement)
+    worst_disagree = float(np.max(disagreement, initial=0.0))
+    both = m_eval_batch(model, ReadingSet({0: a0, 1: a1}), matrices, tols)
+    worst_both = float(np.max(np.abs(both - config.w1), initial=0.0))
     if eta > 0:
+        oracle = inclusion_exclusion_batch(model, ReadingSet({0: a0, 1: a1}),
+                                           matrices, tols)
+        direct = (disagreement if use_complement else
+                  _disagreement(model, 0, 1, a0, a1, matrices, tols))
+        worst_oracle = float(np.max(np.abs(direct - (oracle[(1, 0)] + oracle[(0, 1)])),
+                                    initial=0.0))
         passed = worst_oracle <= config.tol and worst_disagree > config.tol
     else:
+        worst_oracle = 0.0
         passed = worst_disagree <= config.tol and worst_both <= config.tol
     return {
         "pass": passed,
@@ -283,22 +305,20 @@ def _two_channel_battery(model, readings, x1, x2, config: ScenarioConfig,
     }
 
 
-def run_fig1c(config: ScenarioConfig, pointer_pairs=None,
-              use_complement: bool = True) -> dict:
+def run_fig1c(config: ScenarioConfig, use_complement: bool = True) -> dict:
     """Stacked detectors in one path: both fire (with the branch weight) or
     neither does; disagreement has probability zero."""
-    model, readings, x1, x2 = fig1c_setup(config.tol, pointer_pairs)
+    model, readings, x1, x2 = fig1c_setup(config.tol)
     battery = _two_channel_battery(model, readings, x1, x2, config, use_complement)
     battery.pop("spec")
     battery.pop("members")
     return _finalize(battery, config)
 
 
-def run_stern_gerlach(config: ScenarioConfig, pointer_pairs=None,
-                      use_complement: bool = True) -> dict:
+def run_stern_gerlach(config: ScenarioConfig, use_complement: bool = True) -> dict:
     """Spin-half branch measurement on two channels, with the full objectivity
     check and a sampled-trial comparison against the exact probabilities."""
-    model, readings, up, down = stern_gerlach_setup(config.tol, pointer_pairs)
+    model, readings, up, down = stern_gerlach_setup(config.tol)
     battery = _two_channel_battery(model, readings, up, down, config, use_complement)
     spec = battery.pop("spec")
     members = battery.pop("members")
@@ -308,13 +328,12 @@ def run_stern_gerlach(config: ScenarioConfig, pointer_pairs=None,
     sampling = {"trials": config.trials}
     sampling_ok = True
     if config.trials > 0 and config.detector_noise == 0.0:
-        reading_set = ReadingSet(readings)
-        member = members[0]
-        records = sample_events(model, reading_set, member,
-                                config.trials, config.seed)
-        disagreements = sum(
-            1 for r in records if r["outcomes"][0] != r["outcomes"][1])
-        fired = sum(r["outcomes"][0] for r in records)
+        # patterns are (channel 0, channel 1) bits
+        patterns, draws = draw_patterns(model, ReadingSet(readings), members[0],
+                                        config.trials, config.seed)
+        counts = np.bincount(draws, minlength=len(patterns))
+        disagreements = int(sum(n for (b0, b1), n in zip(patterns, counts) if b0 != b1))
+        fired = int(sum(n for (b0, _), n in zip(patterns, counts) if b0))
         freq = fired / config.trials
         sigma = float(np.sqrt(max(config.w1 * config.w2, 0.0) / config.trials))
         sampling = {
@@ -345,7 +364,11 @@ def run_custom(config: ScenarioConfig) -> dict:
             raise ValidationError(f"custom scenario requires extra[{key!r}]")
     x1 = State(matrix_from_json(extra["x1"]), config.tol)
     x2 = State(matrix_from_json(extra["x2"]), config.tol)
-    layout = ChannelLayout(tuple(int(d) for d in extra["channel_dims"]))
+    dims = extra["channel_dims"]
+    if not isinstance(dims, (list, tuple)) or not all(
+            isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValidationError(f"extra['channel_dims'] must be a list of integers, got {dims!r}")
+    layout = ChannelLayout(tuple(dims))
     pointers = [(basis_vector(d, 0), basis_vector(d, 1))
                 for d in layout.channel_dims]
     model = build_premeasurement(x1, x2, layout, pointers,

@@ -10,6 +10,7 @@ sampling oracle over random effects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,12 @@ class SuperpositionSpec:
     @property
     def dim(self) -> int:
         return self.x1.dim
+
+    @cached_property
+    def kernel_projectors(self) -> tuple:
+        """Kernel projector matrices (Q1, Q2) of the two branches, computed
+        on first use and kept for the life of the spec."""
+        return kernel_projector(self.x1).matrix, kernel_projector(self.x2).matrix
 
     def incoherent_mixture(self) -> State:
         return State(self.w1 * self.x1.matrix + self.w2 * self.x2.matrix, self.tol)
@@ -128,16 +135,24 @@ def superposition_family(spec: SuperpositionSpec, coherence: float,
     return State(m, spec.tol)
 
 
+def is_member_batch(matrices: np.ndarray, spec: SuperpositionSpec,
+                    tol: float | None = None) -> np.ndarray:
+    """Block test over a stack of (n, d, d) candidate matrices: True where
+    Q1 X Q1 == w2 X2 and Q2 X Q2 == w1 X1 for kernel projectors Q."""
+    if matrices.shape[1:] != (spec.dim, spec.dim):
+        raise DimensionMismatch(f"candidate dim {matrices.shape[-1]} != spec dim {spec.dim}")
+    tol = spec.tol if tol is None else tol
+    q1, q2 = spec.kernel_projectors
+    r1 = np.max(np.abs(q1 @ matrices @ q1 - spec.w2 * spec.x2.matrix), axis=(1, 2))
+    r2 = np.max(np.abs(q2 @ matrices @ q2 - spec.w1 * spec.x1.matrix), axis=(1, 2))
+    return np.maximum(r1, r2) <= tol
+
+
 def is_member(x: State, spec: SuperpositionSpec, tol: float | None = None) -> bool:
-    """Block test: Q1 X Q1 == w2 X2 and Q2 X Q2 == w1 X1 for kernel projectors Q."""
+    """Block test of one candidate: the one-state case of `is_member_batch`."""
     if x.dim != spec.dim:
         raise DimensionMismatch(f"candidate dim {x.dim} != spec dim {spec.dim}")
-    tol = spec.tol if tol is None else tol
-    q1 = kernel_projector(spec.x1).matrix
-    q2 = kernel_projector(spec.x2).matrix
-    r1 = np.max(np.abs(q1 @ x.matrix @ q1 - spec.w2 * spec.x2.matrix))
-    r2 = np.max(np.abs(q2 @ x.matrix @ q2 - spec.w1 * spec.x1.matrix))
-    return float(max(r1, r2)) <= tol
+    return bool(is_member_batch(x.matrix[None], spec, tol)[0])
 
 
 def is_sensitive_to_interference(a, spec: SuperpositionSpec,

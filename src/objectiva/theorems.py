@@ -21,17 +21,19 @@ from .linalg import (
     complement,
     kernel_projector,
     prob,
+    prob_batch,
+    stack_states,
 )
 from .measurement import (
     MeasurementModel,
     ReadingSet,
-    m_eval,
+    m_eval_batch,
 )
 from .superposition import (
     DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
     SuperpositionSpec,
-    is_member,
+    is_member_batch,
 )
 
 DEFAULT_WEIGHT_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -97,6 +99,12 @@ def verify_theorem1(a: Effect, psi1, psi2,
                   {"kernel_witness": witness})
 
 
+def _require_members(spec: SuperpositionSpec, matrices: np.ndarray, tol: float):
+    outside = np.flatnonzero(~is_member_batch(matrices, spec, tol=max(tol, spec.tol)))
+    if outside.size:
+        raise ValidationError(f"member {outside[0]} fails the superposition-set test")
+
+
 def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
                           tol: float = DEFAULT_TOL) -> Report:
     """Extension to mixed states: an effect blind to both branches is blind to
@@ -105,13 +113,12 @@ def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
     pre2 = prob(a, spec.x2)
     preconditions = {"prob_x1": pre1, "prob_x2": pre2,
                      "satisfied": max(pre1, pre2) <= tol}
-    for k, x in enumerate(members):
-        if not is_member(x, spec, tol=max(tol, spec.tol)):
-            raise ValidationError(f"member {k} fails the superposition-set test")
+    matrices, tols = stack_states(members, spec.dim)
+    _require_members(spec, matrices, tol)
     if not preconditions["satisfied"]:
         return Report("theorem1_prime", False, preconditions,
                       {"max_member_prob": None}, {})
-    worst = max((prob(a, x) for x in members), default=0.0)
+    worst = float(np.max(prob_batch(a, matrices, tols), initial=0.0))
     return Report("theorem1_prime", worst <= tol, preconditions,
                   {"max_member_prob": worst}, {"members_checked": len(members)})
 
@@ -122,32 +129,27 @@ def verify_theorem2(model: MeasurementModel, mu: int, nu: int,
     """Two discriminating channel readings agree with certainty and fire with
     the first branch weight, on every member of the superposition set."""
     preconditions = {"satisfied": True, "failing_channels": []}
+    branches = stack_states([spec.x1, spec.x2], spec.dim)
     for name, ch, eff in (("mu", mu, a_mu), ("nu", nu, a_nu)):
-        p1 = m_eval(model, ReadingSet({ch: eff}), spec.x1)
-        p2 = m_eval(model, ReadingSet({ch: eff}), spec.x2)
+        p1, p2 = (float(p) for p in m_eval_batch(model, ReadingSet({ch: eff}), *branches))
         preconditions[f"m_{name}_x1"] = p1
         preconditions[f"m_{name}_x2"] = p2
         if abs(p1 - 1.0) > tol or p2 > tol:
             preconditions["satisfied"] = False
             preconditions["failing_channels"].append(ch)
-    for k, x in enumerate(members):
-        if not is_member(x, spec, tol=max(tol, spec.tol)):
-            raise ValidationError(f"member {k} fails the superposition-set test")
+    matrices, tols = stack_states(members, spec.dim)
+    _require_members(spec, matrices, tol)
     if not preconditions["satisfied"]:
         return Report("theorem2", False, preconditions, {}, {})
 
-    worst_agree = 0.0
-    worst_disagree = 0.0
-    for x in members:
-        m_both = m_eval(model, ReadingSet({mu: a_mu, nu: a_nu}), x)
-        m_mu = m_eval(model, ReadingSet({mu: a_mu}), x)
-        m_nu = m_eval(model, ReadingSet({nu: a_nu}), x)
-        worst_agree = max(worst_agree,
-                          abs(m_both - spec.w1), abs(m_mu - spec.w1),
-                          abs(m_nu - spec.w1))
-        d1 = m_eval(model, ReadingSet({mu: a_mu, nu: complement(a_nu)}), x)
-        d2 = m_eval(model, ReadingSet({mu: complement(a_mu), nu: a_nu}), x)
-        worst_disagree = max(worst_disagree, d1, d2)
+    def m(readings: dict) -> np.ndarray:
+        return m_eval_batch(model, ReadingSet(readings), matrices, tols)
+
+    firing = (m({mu: a_mu, nu: a_nu}), m({mu: a_mu}), m({nu: a_nu}))
+    worst_agree = float(max(np.max(np.abs(f - spec.w1), initial=0.0) for f in firing))
+    disagreement = np.maximum(m({mu: a_mu, nu: complement(a_nu)}),
+                              m({mu: complement(a_mu), nu: a_nu}))
+    worst_disagree = float(np.max(disagreement, initial=0.0))
     passed = worst_agree <= tol and worst_disagree <= tol
     return Report("theorem2", passed, preconditions,
                   {"max_firing_deviation": worst_agree,
@@ -155,21 +157,22 @@ def verify_theorem2(model: MeasurementModel, mu: int, nu: int,
                   {"members_checked": len(members), "expected_rate": spec.w1})
 
 
-def inclusion_exclusion_distribution(model: MeasurementModel,
-                                     readings: ReadingSet, x: State) -> dict:
-    """Joint outcome table rebuilt from plain coincidence probabilities only.
+def inclusion_exclusion_batch(model: MeasurementModel, readings: ReadingSet,
+                              matrices: np.ndarray, tols) -> dict:
+    """Joint outcome tables over a stack of states, rebuilt from plain
+    coincidence probabilities only.
 
     Independent of the complement operator: the probability of a pattern is
     the alternating-sign sum of coincidence values over supersets of its
-    firing channels. Used as the oracle against the direct product-effect
-    table.
+    firing channels. Each pattern maps to an array with one value per state.
+    Used as the oracle against the direct product-effect table.
     """
     channels = readings.channels
     coincidence = {}
     for r in range(len(channels) + 1):
         for subset in combinations(channels, r):
             picked = ReadingSet({c: readings.entries[c] for c in subset})
-            coincidence[subset] = m_eval(model, picked, x)
+            coincidence[subset] = m_eval_batch(model, picked, matrices, tols)
     dist = {}
     for bits in product((1, 0), repeat=len(channels)):
         ones = tuple(c for c, b in zip(channels, bits) if b)
@@ -181,6 +184,15 @@ def inclusion_exclusion_distribution(model: MeasurementModel,
                 p += (-1) ** r * coincidence[key]
         dist[bits] = p
     return dist
+
+
+def inclusion_exclusion_distribution(model: MeasurementModel,
+                                     readings: ReadingSet, x: State) -> dict:
+    """Joint outcome table of one state: the one-state case of
+    `inclusion_exclusion_batch`."""
+    matrices, tols = stack_states([x], model.object_dim)
+    return {bits: float(p[0])
+            for bits, p in inclusion_exclusion_batch(model, readings, matrices, tols).items()}
 
 
 def degrade_reading(a: Effect, noise: float) -> Effect:
@@ -202,16 +214,15 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     """
     b_mu = degrade_reading(a_mu, noise)
     b_nu = degrade_reading(a_nu, noise)
-    worst = 0.0
-    worst_mismatch = 0.0
-    for x in members:
-        d1 = m_eval(model, ReadingSet({mu: b_mu, nu: complement(b_nu)}), x)
-        d2 = m_eval(model, ReadingSet({mu: complement(b_mu), nu: b_nu}), x)
-        oracle = inclusion_exclusion_distribution(
-            model, ReadingSet({mu: b_mu, nu: b_nu}), x)
-        oracle_disagree = oracle[(1, 0)] + oracle[(0, 1)]
-        worst = max(worst, d1 + d2)
-        worst_mismatch = max(worst_mismatch, abs((d1 + d2) - oracle_disagree))
+    matrices, tols = stack_states(members, model.object_dim)
+    disagreement = (
+        m_eval_batch(model, ReadingSet({mu: b_mu, nu: complement(b_nu)}), matrices, tols)
+        + m_eval_batch(model, ReadingSet({mu: complement(b_mu), nu: b_nu}), matrices, tols))
+    oracle = inclusion_exclusion_batch(model, ReadingSet({mu: b_mu, nu: b_nu}),
+                                       matrices, tols)
+    oracle_disagree = oracle[(1, 0)] + oracle[(0, 1)]
+    worst = float(np.max(disagreement, initial=0.0))
+    worst_mismatch = float(np.max(np.abs(disagreement - oracle_disagree), initial=0.0))
     passed = worst_mismatch <= tol and (worst <= tol if noise == 0.0 else worst > tol)
     return Report("discrimination_necessity", passed,
                   {"noise": noise},

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 
@@ -6,6 +7,7 @@ import pytest
 
 from objectiva import Effect, ValidationError, basis_vector, matrix_to_json, random_state
 from objectiva.cli import main, verify_all
+from objectiva.measurement import ReadingSet, sample_events
 from objectiva.scenarios import (
     ScenarioConfig,
     fig1b_arms,
@@ -14,7 +16,32 @@ from objectiva.scenarios import (
     run_fig1c,
     run_scenario,
     run_stern_gerlach,
+    stern_gerlach_setup,
 )
+from objectiva.superposition import SuperpositionSpec, superposition_family
+
+CUSTOM_EXTRA = {
+    "x1": matrix_to_json(np.diag([1.0, 0.0]).astype(complex)),
+    "x2": matrix_to_json(np.diag([0.0, 1.0]).astype(complex)),
+    "channel_dims": [2, 2],
+}
+MALFORMED_CONFIGS = [
+    pytest.param({"weights": [0.5]}, id="one-weight"),
+    pytest.param({"trials": "x"}, id="string-trials"),
+    pytest.param([1], id="top-level-array"),
+    pytest.param({"scenario": "stern_gerlach", "seed": -1}, id="negative-seed"),
+    pytest.param({"tolerance": -1}, id="negative-tolerance"),
+    pytest.param({"w1": "0.5", "w2": 0.5}, id="string-weight"),
+    pytest.param({"coherence_grid": 0.5}, id="scalar-grid"),
+    pytest.param({"phase_grid": [0.0, "x"]}, id="string-grid-entry"),
+    pytest.param({"scenario": "custom",
+                  "extra": {**CUSTOM_EXTRA, "x1": {"dim": 2, "re": [[1, "a"], [0, 0]],
+                                                   "im": [[0, 0], [0, 0]]}}},
+                 id="string-matrix-entry"),
+    pytest.param({"scenario": "custom",
+                  "extra": {**CUSTOM_EXTRA, "channel_dims": ["a", 2]}},
+                 id="string-channel-dim"),
+]
 
 
 def config(scenario, **kw):
@@ -42,6 +69,11 @@ class TestConfig:
     def test_hash_is_stable(self):
         a = config("fig1a_interference")
         assert a.sha256() == config("fig1a_interference").sha256()
+
+
+    def test_negative_tolerance_is_named(self):
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            ScenarioConfig.from_dict({"tolerance": -1})
 
 
 class TestFig1a:
@@ -127,6 +159,17 @@ class TestCustomScenario:
         assert report["members_checked"] == 1
 
 
+    def test_sampled_counts_match_the_event_records(self):
+        cfg = config("stern_gerlach", w1=0.3, w2=0.7, trials=3000, seed=5)
+        sampling = run_stern_gerlach(cfg)["sampling"]
+        model, readings, up, down = stern_gerlach_setup()
+        member = superposition_family(SuperpositionSpec(up, down, 0.3, 0.7), 0.0)
+        records = sample_events(model, ReadingSet(readings), member, 3000, 5)
+        outcomes = [(r["outcomes"][0], r["outcomes"][1]) for r in records]
+        assert sampling["disagreements"] == sum(a != b for a, b in outcomes)
+        assert sampling["channel1_frequency"] == sum(a for a, _ in outcomes) / 3000
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self):
         a = json.dumps(run_fig1c(config("fig1c_reduction", trials=0)), sort_keys=True)
@@ -173,6 +216,14 @@ class TestCli:
         path = self.write_config(tmp_path, {"scenario": "no_such"})
         assert main(["run", path]) == 2
 
+    @pytest.mark.parametrize("payload", MALFORMED_CONFIGS)
+    def test_malformed_config_exits_two_with_one_line(self, tmp_path, capsys, payload):
+        path = self.write_config(tmp_path, payload)
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_sample_emits_json_lines(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "stern_gerlach", "trials": 20})
         assert main(["sample", path]) == 0
@@ -208,4 +259,12 @@ class TestCli:
         assert verify_all(0, stream=buf)
         lines = buf.getvalue().splitlines()
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+        assert any("theorem1-random-suite" in line for line in lines)
+
+    def test_verify_all_follows_redirected_stdout(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["verify-all"]) == 0
+        lines = buf.getvalue().splitlines()
+        assert lines[-1] == "PASS  verify-all"
         assert any("theorem1-random-suite" in line for line in lines)
