@@ -60,7 +60,6 @@ from .measurement import (
 )
 from .theorems import (
     Report,
-    brute_force_effect_oracle,
     counterexample_search,
     degrade_reading,
     inclusion_exclusion_batch,

@@ -7,20 +7,24 @@ Mutation hooks (for `verify-all --mutate`, each must flip the exit code):
   effects keeps a stray component on the first vector.
 * ``non-orthogonal-pointers`` - the stacked-detector model is built with
   overlapping pointer states on the second channel.
-* ``skipped-complement`` - disagreement probabilities are evaluated with the
-  raw reading instead of its complement.
+* ``skipped-complement`` - the scenario battery evaluates disagreement
+  probabilities with the raw reading instead of its complement
+  (``scenarios.complement`` is bound to the identity while it runs).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
+from . import scenarios
 from .discrimination import DiscriminationError
 from .linalg import (
+    DimensionMismatch,
     Effect,
     State,
     ValidationError,
@@ -37,14 +41,12 @@ from .measurement import (
     MeasurementModel,
     ReadingSet,
     build_premeasurement,
-    m_eval,
     realized_effect,
     sample_events,
     verify_separability,
 )
 from .scenarios import (
     ScenarioConfig,
-    fig1b_arms,
     fig1c_setup,
     run_fig1a,
     run_fig1b,
@@ -193,7 +195,6 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
     config = ScenarioConfig("fig1b_coincidence", seed=seed)
     checks.append(("fig1b-coincidence", run_fig1b(config)["pass"], ""))
 
-    use_complement = mutation != "skipped-complement"
     if mutation == "non-orthogonal-pointers":
         from .theorems import verify_theorem2
 
@@ -207,11 +208,11 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
         config = ScenarioConfig("fig1c_reduction", w1=w1, w2=1.0 - w1,
                                 seed=seed, trials=0)
         checks.append((f"fig1c-reduction[w1={w1}]",
-                       run_fig1c(config, use_complement)["pass"], ""))
+                       run_fig1c(config)["pass"], ""))
         config = ScenarioConfig("stern_gerlach", w1=w1, w2=1.0 - w1,
                                 seed=seed, trials=2000 if w1 == 0.5 else 0)
         checks.append((f"stern-gerlach[w1={w1}]",
-                       run_stern_gerlach(config, use_complement)["pass"], ""))
+                       run_stern_gerlach(config)["pass"], ""))
     return checks
 
 
@@ -252,10 +253,17 @@ def verify_all(seed: int = 0, mutation: str | None = None, stream=None) -> bool:
     guarded("membership-block-vs-oracle", _check_membership, seed)
     guarded("separability-residual", _check_separability, seed)
     guarded("realized-effect-routes", _check_realized_effect, seed)
+    entry_complement = scenarios.complement
     try:
+        if mutation == "skipped-complement":
+            # the scenario battery reads disagreement with the raw reading
+            scenarios.complement = lambda a: a
         checks.extend(_check_scenarios(seed, mutation))
     except (ValidationError, DiscriminationError) as exc:
         checks.append(("scenario-battery", False, f"error: {exc}"))
+    finally:
+        # the binding found on entry, which a tracer may have wrapped
+        scenarios.complement = entry_complement
     guarded("discrimination-necessity", _check_necessity, seed)
 
     all_ok = True
@@ -276,13 +284,8 @@ def _load_config(path: str, args) -> ScenarioConfig:
         overrides["seed"] = args.seed
     if args.tolerance is not None:
         overrides["tol"] = args.tolerance
-    if overrides:
-        d = config.to_dict()
-        d.pop("tol")
-        d["tolerance"] = overrides.pop("tol", config.tol)
-        d.update(overrides)
-        config = ScenarioConfig.from_dict(d)
-    return config
+    # replace re-runs the config checks on the overridden values
+    return dataclasses.replace(config, **overrides)
 
 
 def _emit(text: str, out: str | None):
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, DiscriminationError) as exc:
+    except (ValidationError, DimensionMismatch, DiscriminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -34,7 +34,6 @@ from .linalg import (
 )
 from .measurement import (
     ChannelLayout,
-    MeasurementModel,
     ReadingSet,
     build_premeasurement,
     discriminating_reading,
@@ -44,13 +43,14 @@ from .measurement import (
 from .superposition import (
     DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
+    PURITY_TOL,
     SuperpositionSpec,
     superposition_family,
 )
 from .theorems import (
-    degrade_reading,
-    inclusion_exclusion_batch,
+    counterexample_search,
     verify_theorem1,
+    verify_theorem1_prime,
     verify_theorem2,
 )
 
@@ -179,7 +179,7 @@ def run_fig1a(config: ScenarioConfig) -> dict:
                  for ph in config.phase_grid]
         expected = [0.5 + c * np.sqrt(config.w1 * config.w2) * np.cos(ph)
                     for ph in config.phase_grid]
-        worst = max(worst, max(abs(p - e) for p, e in zip(probs, expected)))
+        worst = max(worst, float(max(abs(p - e) for p, e in zip(probs, expected))))
         rows.append({"coherence": c, "probabilities": probs,
                      "visibility": float(2 * c * np.sqrt(config.w1 * config.w2))})
     flat = next((r for r in rows if r["coherence"] == 0.0), None)
@@ -202,126 +202,101 @@ def fig1b_arms():
     return phi1, phi2, Effect(np.outer(both, both.conj()))
 
 
-def run_fig1b(config: ScenarioConfig, effect_override: Effect | None = None) -> dict:
+def run_fig1b(config: ScenarioConfig) -> dict:
     """Detectors in both arms: coincidences never occur.
 
     The experimenter's check is that the coincidence effect gives zero on
-    either single-arm state; the sweep then confirms zero on every
-    superposition. `effect_override` exists for mutation runs.
+    either single-arm state (theorem 1); the sweep then confirms zero on every
+    superposition member (theorem 1').
     """
     phi1, phi2, a_cc = fig1b_arms()
-    if effect_override is not None:
-        a_cc = effect_override
-    pre1 = float(np.vdot(phi1, a_cc.matrix @ phi1).real)
-    pre2 = float(np.vdot(phi2, a_cc.matrix @ phi2).real)
-    pre_ok = max(pre1, pre2) <= config.tol
     theorem1 = verify_theorem1(a_cc, phi1, phi2, tol=config.tol)
-
     spec = SuperpositionSpec(pure_state(phi1), pure_state(phi2),
                              config.w1, config.w2, config.tol)
-    worst = max(prob(a_cc, x) for x in _grid_members(spec, config))
-    passed = pre_ok and theorem1.passed and worst <= config.tol
+    sweep = verify_theorem1_prime(a_cc, spec, _grid_members(spec, config), config.tol)
+    pre = theorem1.preconditions
     return _finalize({
-        "pass": passed,
-        "preconditions": {"arm1_expectation": pre1, "arm2_expectation": pre2,
-                          "satisfied": pre_ok},
-        "residuals": {"max_coincidence_probability": worst},
+        "pass": theorem1.passed and sweep.passed,
+        "preconditions": {"arm1_expectation": pre["expectation_psi1"],
+                          "arm2_expectation": pre["expectation_psi2"],
+                          "satisfied": pre["satisfied"]},
+        "residuals": {"max_coincidence_probability": sweep.residuals["max_member_prob"]},
         "theorem1": theorem1.to_dict(),
     }, config)
 
 
-def _fire_idle_pointers(n_channels: int):
-    # per channel: branch-1 pointer fires (|1>), branch-2 pointer stays idle (|0>)
-    return [(basis_vector(2, 1), basis_vector(2, 0)) for _ in range(n_channels)]
-
-
-def fig1c_setup(tol: float = DEFAULT_TOL):
-    """Two stacked non-absorbing detectors in one arm, watching the same branch."""
+def _two_channel_setup(labels: tuple, pointer_pair: tuple, tol: float):
+    """Qubit object with branches |0>, |1>, recorded on two qubit channels
+    that both use `pointer_pair`; returns the model, the discriminating
+    readings of both channels and the two branch states."""
     x1 = pure_state(basis_vector(2, 0))
     x2 = pure_state(basis_vector(2, 1))
-    layout = ChannelLayout((2, 2), labels=("detector-1", "detector-2"))
-    model = build_premeasurement(x1, x2, layout, _fire_idle_pointers(2), tol=tol)
+    layout = ChannelLayout((2, 2), labels=labels)
+    model = build_premeasurement(x1, x2, layout, [pointer_pair] * 2, tol=tol)
     readings = {mu: discriminating_reading(model, mu, x1, x2) for mu in (0, 1)}
     return model, readings, x1, x2
 
 
+def fig1c_setup(tol: float = DEFAULT_TOL):
+    """Two stacked non-absorbing detectors in one arm, watching the same branch."""
+    # per channel: branch-1 pointer fires (|1>), branch-2 pointer stays idle (|0>)
+    return _two_channel_setup(("detector-1", "detector-2"),
+                              (basis_vector(2, 1), basis_vector(2, 0)), tol)
+
+
 def stern_gerlach_setup(tol: float = DEFAULT_TOL):
     """Spin-half object, two spatial channels recording the deflection branch."""
-    up = pure_state(basis_vector(2, 0))
-    down = pure_state(basis_vector(2, 1))
-    layout = ChannelLayout((2, 2), labels=("screen-left", "screen-right"))
-    pointer_pairs = [(basis_vector(2, 0), basis_vector(2, 1)) for _ in range(2)]
-    model = build_premeasurement(up, down, layout, pointer_pairs, tol=tol)
-    readings = {mu: discriminating_reading(model, mu, up, down) for mu in (0, 1)}
-    return model, readings, up, down
+    return _two_channel_setup(("screen-left", "screen-right"),
+                              (basis_vector(2, 0), basis_vector(2, 1)), tol)
 
 
-def _disagreement(model: MeasurementModel, mu: int, nu: int, a_mu: Effect,
-                  a_nu: Effect, matrices: np.ndarray, tols,
-                  use_complement: bool = True) -> np.ndarray:
-    # use_complement=False is the documented skipped-complement mutation hook
-    b_nu = complement(a_nu) if use_complement else a_nu
-    b_mu = complement(a_mu) if use_complement else a_mu
-    d1 = m_eval_batch(model, ReadingSet({mu: a_mu, nu: b_nu}), matrices, tols)
-    d2 = m_eval_batch(model, ReadingSet({mu: b_mu, nu: a_nu}), matrices, tols)
-    return d1 + d2
-
-
-def _two_channel_battery(model, readings, x1, x2, config: ScenarioConfig,
-                         use_complement: bool = True) -> dict:
-    spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
-    members = _grid_members(spec, config)
-    matrices, tols = stack_states(members, spec.dim)
+def _two_channel_battery(model, readings, spec: SuperpositionSpec, members,
+                         config: ScenarioConfig) -> dict:
     eta = config.detector_noise
-    a0 = degrade_reading(readings[0], eta) if eta > 0 else readings[0]
-    a1 = degrade_reading(readings[1], eta) if eta > 0 else readings[1]
-
-    disagreement = _disagreement(model, 0, 1, a0, a1, matrices, tols, use_complement)
-    worst_disagree = float(np.max(disagreement, initial=0.0))
-    both = m_eval_batch(model, ReadingSet({0: a0, 1: a1}), matrices, tols)
-    worst_both = float(np.max(np.abs(both - config.w1), initial=0.0))
     if eta > 0:
-        oracle = inclusion_exclusion_batch(model, ReadingSet({0: a0, 1: a1}),
-                                           matrices, tols)
-        direct = (disagreement if use_complement else
-                  _disagreement(model, 0, 1, a0, a1, matrices, tols))
-        worst_oracle = float(np.max(np.abs(direct - (oracle[(1, 0)] + oracle[(0, 1)])),
-                                    initial=0.0))
-        passed = worst_oracle <= config.tol and worst_disagree > config.tol
+        report = counterexample_search(model, 0, 1, readings[0], readings[1],
+                                       spec, eta, members, config.tol)
+        passed, residuals = report.passed, report.residuals
     else:
-        worst_oracle = 0.0
-        passed = worst_disagree <= config.tol and worst_both <= config.tol
+        # computed here, through this module's `complement`, so that binding
+        # alone can be swapped for the identity to mutate the scenario battery
+        matrices, tols = stack_states(members, spec.dim)
+        a0, a1 = readings[0], readings[1]
+        disagreement = (
+            m_eval_batch(model, ReadingSet({0: a0, 1: complement(a1)}), matrices, tols)
+            + m_eval_batch(model, ReadingSet({0: complement(a0), 1: a1}), matrices, tols))
+        both = m_eval_batch(model, ReadingSet({0: a0, 1: a1}), matrices, tols)
+        residuals = {
+            "max_disagreement": float(np.max(disagreement, initial=0.0)),
+            "max_both_fire_deviation": float(np.max(np.abs(both - config.w1), initial=0.0)),
+            "oracle_mismatch": 0.0,
+        }
+        passed = (residuals["max_disagreement"] <= config.tol
+                  and residuals["max_both_fire_deviation"] <= config.tol)
     return {
         "pass": passed,
-        "residuals": {
-            "max_disagreement": worst_disagree,
-            "max_both_fire_deviation": worst_both,
-            "oracle_mismatch": worst_oracle,
-        },
+        "residuals": residuals,
         "expected_both_fire": config.w1,
         "detector_noise": eta,
-        "spec": spec,
-        "members": members,
     }
 
 
-def run_fig1c(config: ScenarioConfig, use_complement: bool = True) -> dict:
+def run_fig1c(config: ScenarioConfig) -> dict:
     """Stacked detectors in one path: both fire (with the branch weight) or
     neither does; disagreement has probability zero."""
     model, readings, x1, x2 = fig1c_setup(config.tol)
-    battery = _two_channel_battery(model, readings, x1, x2, config, use_complement)
-    battery.pop("spec")
-    battery.pop("members")
-    return _finalize(battery, config)
+    spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
+    return _finalize(_two_channel_battery(model, readings, spec,
+                                          _grid_members(spec, config), config), config)
 
 
-def run_stern_gerlach(config: ScenarioConfig, use_complement: bool = True) -> dict:
+def run_stern_gerlach(config: ScenarioConfig) -> dict:
     """Spin-half branch measurement on two channels, with the full objectivity
     check and a sampled-trial comparison against the exact probabilities."""
     model, readings, up, down = stern_gerlach_setup(config.tol)
-    battery = _two_channel_battery(model, readings, up, down, config, use_complement)
-    spec = battery.pop("spec")
-    members = battery.pop("members")
+    spec = SuperpositionSpec(up, down, config.w1, config.w2, config.tol)
+    members = _grid_members(spec, config)
+    battery = _two_channel_battery(model, readings, spec, members, config)
 
     theorem2 = verify_theorem2(model, 0, 1, readings[0], readings[1],
                                spec, members, tol=config.tol)
@@ -377,7 +352,7 @@ def run_custom(config: ScenarioConfig) -> dict:
     readings = {mu: discriminating_reading(model, mu, x1, x2)
                 for mu in range(layout.n_channels)}
     spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
-    pure = x1.purity() > 1 - 1e-9 and x2.purity() > 1 - 1e-9
+    pure = x1.purity() > 1 - PURITY_TOL and x2.purity() > 1 - PURITY_TOL
     members = _grid_members(spec, config) if pure else [spec.incoherent_mixture()]
     theorem2 = verify_theorem2(model, 0, 1, readings[0], readings[1],
                                spec, members, tol=config.tol)

@@ -30,7 +30,6 @@ from .measurement import (
     m_eval_batch,
 )
 from .superposition import (
-    DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
     SuperpositionSpec,
     is_member_batch,
@@ -210,7 +209,9 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     """Show that exact discrimination is necessary: degraded readings leak a
     strictly positive disagreement probability for any positive noise.
 
-    The direct value is cross-checked against the inclusion-exclusion oracle.
+    The direct value is cross-checked against the inclusion-exclusion oracle;
+    the degraded both-fire deviation from the first branch weight is reported
+    alongside.
     """
     b_mu = degrade_reading(a_mu, noise)
     b_nu = degrade_reading(a_nu, noise)
@@ -223,31 +224,14 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     oracle_disagree = oracle[(1, 0)] + oracle[(0, 1)]
     worst = float(np.max(disagreement, initial=0.0))
     worst_mismatch = float(np.max(np.abs(disagreement - oracle_disagree), initial=0.0))
+    # the both-fire pattern has no superset term: it is the plain coincidence value
+    worst_both = float(np.max(np.abs(oracle[(1, 1)] - spec.w1), initial=0.0))
     passed = worst_mismatch <= tol and (worst <= tol if noise == 0.0 else worst > tol)
     return Report("discrimination_necessity", passed,
                   {"noise": noise},
-                  {"max_disagreement": worst, "oracle_mismatch": worst_mismatch},
+                  {"max_disagreement": worst, "oracle_mismatch": worst_mismatch,
+                   "max_both_fire_deviation": worst_both},
                   {"members_checked": len(members)})
-
-
-def brute_force_effect_oracle(predicate, dim: int, samples: int, seed,
-                              projector: np.ndarray | None = None) -> float:
-    """Max violation of a caller-supplied identity over random effects.
-
-    Effects are Wishart matrices normalized by trace (hence valid effects),
-    optionally compressed into a subspace by projector conjugation. The
-    predicate receives the raw effect matrix and returns a residual.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        b = g @ g.conj().T
-        b /= float(np.trace(b).real)
-        if projector is not None:
-            b = projector @ b @ projector.conj().T
-        worst = max(worst, float(predicate(b)))
-    return worst
 
 
 def membership_violation(x: State, spec: SuperpositionSpec,

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from objectiva import Effect, ValidationError, basis_vector, matrix_to_json, random_state
+from objectiva import (Effect, ValidationError, basis_vector, cli, matrix_to_json,
+                       random_state, scenarios)
 from objectiva.cli import main, verify_all
 from objectiva.measurement import ReadingSet, sample_events
 from objectiva.scenarios import (
@@ -41,6 +42,10 @@ MALFORMED_CONFIGS = [
     pytest.param({"scenario": "custom",
                   "extra": {**CUSTOM_EXTRA, "channel_dims": ["a", 2]}},
                  id="string-channel-dim"),
+    pytest.param({"scenario": "custom",
+                  "extra": {**CUSTOM_EXTRA,
+                            "x1": matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex))}},
+                 id="branch-dims-differ"),
 ]
 
 
@@ -107,10 +112,11 @@ class TestFig1b:
         assert report["preconditions"]["arm1_expectation"] == pytest.approx(0.0)
         assert report["preconditions"]["arm2_expectation"] == pytest.approx(0.0)
 
-    def test_mutated_effect_flags_precondition(self):
+    def test_mutated_effect_flags_precondition(self, monkeypatch):
         phi1, phi2, a_cc = fig1b_arms()
         leaky = Effect(a_cc.matrix + 0.05 * np.outer(phi1, phi1.conj()))
-        report = run_fig1b(config("fig1b_coincidence"), effect_override=leaky)
+        monkeypatch.setattr(scenarios, "fig1b_arms", lambda: (phi1, phi2, leaky))
+        report = run_fig1b(config("fig1b_coincidence"))
         assert not report["pass"]
         assert not report["preconditions"]["satisfied"]
         assert report["preconditions"]["arm1_expectation"] == pytest.approx(0.05)
@@ -206,6 +212,14 @@ class TestCli:
         assert main(["run", path, "--format", "text"]) == 0
         assert "pass: True" in capsys.readouterr().out
 
+    def test_failed_run_exits_one_with_report(self, tmp_path, capsys):
+        # at tolerance 0 the fringe's rounding error fails the closed-form check
+        path = self.write_config(tmp_path, {"scenario": "fig1a_interference",
+                                            "weights": [0.0, 1.0], "tolerance": 0.0})
+        assert main(["run", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+
     def test_unreadable_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         bad = tmp_path / "bad.json"
@@ -253,6 +267,36 @@ class TestCli:
                                       "skipped-complement"])
     def test_mutation_hooks_flip_exit_code(self, hook):
         assert main(["verify-all", "--mutate", hook]) == 1
+
+    def test_skipped_complement_restores_the_binding(self):
+        entry = scenarios.complement
+        assert not verify_all(0, "skipped-complement", stream=io.StringIO())
+        assert scenarios.complement is entry
+        assert verify_all(0, stream=io.StringIO())
+
+    def test_skipped_complement_restores_the_binding_on_error(self, monkeypatch):
+        entry = scenarios.complement
+
+        def boom(seed, mutation):
+            raise RuntimeError("scenario battery crashed")
+
+        monkeypatch.setattr(cli, "_check_scenarios", boom)
+        with pytest.raises(RuntimeError, match="crashed"):
+            verify_all(0, "skipped-complement", stream=io.StringIO())
+        assert scenarios.complement is entry
+
+    def test_overrides_keep_the_config_hash(self, tmp_path, capsys):
+        payload = {"scenario": "fig1c_reduction", "trials": 0, "seed": 4}
+        path = self.write_config(tmp_path, payload)
+        assert main(["run", path, "--seed", "9", "--tolerance", "1e-9"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = ScenarioConfig.from_dict({**payload, "seed": 9, "tolerance": 1e-9})
+        assert report["config_sha256"] == expected.sha256()
+
+    def test_negative_seed_override_exits_two(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"scenario": "fig1a_interference"})
+        assert main(["run", path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be")
 
     def test_verify_all_prints_per_check_lines(self):
         buf = io.StringIO()

@@ -9,7 +9,6 @@ from objectiva import (
     SuperpositionSpec,
     ValidationError,
     basis_vector,
-    brute_force_effect_oracle,
     complement,
     counterexample_search,
     degrade_reading,
@@ -20,7 +19,6 @@ from objectiva import (
     pure_state,
     random_effect,
     random_orthonormal,
-    random_state,
     superposition_family,
     verify_theorem1,
     verify_theorem1_prime,
@@ -177,6 +175,14 @@ class TestCounterexampleSearch:
         (report,) = self.setup_reports([0.0])
         assert report.passed
         assert report.residuals["max_disagreement"] <= 1e-12
+        assert report.residuals["max_both_fire_deviation"] <= 1e-12
+
+    @pytest.mark.parametrize("eta", [0.05, 0.2])
+    def test_both_fire_deviation_closed_form(self, eta):
+        # degraded fire/idle readings: both fire with w1 (1 - eta/2)^2 + w2 (eta/2)^2
+        (report,) = self.setup_reports([eta])
+        assert report.residuals["max_both_fire_deviation"] == pytest.approx(
+            0.5 * (eta - eta ** 2 / 2), abs=1e-12)
 
     def test_noise_is_detected_and_monotone(self):
         reports = self.setup_reports([0.01, 0.05, 0.1, 0.2])
@@ -191,13 +197,6 @@ class TestCounterexampleSearch:
 
 
 class TestBruteForceOracle:
-    def test_identity_predicate(self):
-        x = random_state(3, 1)
-        violation = brute_force_effect_oracle(
-            lambda b: abs(np.trace(b @ x.matrix).real - np.trace(b @ x.matrix).real),
-            dim=3, samples=50, seed=0)
-        assert violation == 0.0
-
     def test_member_identity_holds(self, rng):
         x1, x2 = orthogonal_pure_pair(4, rng)
         spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
