@@ -40,6 +40,7 @@ from .measurement import (
     ChannelLayout,
     MeasurementModel,
     ReadingSet,
+    _coincidence_effect,
     build_premeasurement,
     realized_effect,
     sample_events,
@@ -160,9 +161,7 @@ def _check_realized_effect(seed: int, draws: int = 20) -> tuple:
                                for mu in range(model.layout.n_channels)})
         x = random_state(model.object_dim, int(rng.integers(2**32)))
         realized = realized_effect(model, readings)  # raises if not an effect
-        # independent route: expectation on the embedded state
-        from .measurement import _coincidence_effect
-
+        # independent route: the dense product effect on the embedded state
         direct = float(np.trace(_coincidence_effect(model, readings)
                                 @ model.embed(x).matrix).real)
         worst = max(worst, abs(prob(realized, x) - direct))
@@ -179,10 +178,10 @@ def _mutated_pointer_model() -> tuple:
     x2 = pure_state(basis_vector(2, 1))
     bad = (basis_vector(2, 0) + 0.3 * basis_vector(2, 1))
     bad /= np.linalg.norm(bad)
-    model = build_premeasurement(
-        x1, x2, ChannelLayout((2, 2)),
+    model = MeasurementModel(
+        ChannelLayout((2, 2)),
         [(basis_vector(2, 1), basis_vector(2, 0)), (basis_vector(2, 1), bad)],
-        allow_degenerate_pointers=True)
+        (x1.matrix, x2.matrix))
     fire = Effect(np.outer(basis_vector(2, 1), basis_vector(2, 1)))
     return model, {0: fire, 1: fire}, x1, x2
 
@@ -300,7 +299,7 @@ def _report_text(report: dict) -> str:
     lines = [f"scenario: {report['scenario']}",
              f"pass: {report['pass']}"]
     for key, value in sorted(report.get("residuals", {}).items()):
-        lines.append(f"residual {key}: {value:.3e}")
+        lines.append(f"residual {key}: {'null' if value is None else f'{value:.3e}'}")
     return "\n".join(lines) + "\n"
 
 
@@ -360,11 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p_run = sub.add_parser("run", help="execute a scenario config and write its report")
     p_run.add_argument("config")
     common(p_run)
+    p_run.add_argument("--format", choices=("json", "text"), default="json")
 
     p_verify = sub.add_parser("verify-all", help="run the full verification battery")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -392,7 +391,7 @@ def main(argv=None) -> int:
             return _cmd_sample(args)
         if args.command == "validate":
             return _cmd_validate(args)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, DimensionMismatch, DiscriminationError) as exc:

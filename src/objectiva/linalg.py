@@ -254,7 +254,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     try:
         dim = int(obj["dim"])
         m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed matrix payload: {exc}") from None
     if m.shape != (dim, dim):
         raise ValidationError(f"matrix payload shape {m.shape} does not match dim {dim}")

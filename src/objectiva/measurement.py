@@ -1,16 +1,19 @@
 """Multi-channel measurement models.
 
-A measurement copies which-branch information onto two or more pointer
-channels through an isometry that keeps the object register (the first
-detector transmits rather than absorbs). Coincidence probabilities of channel
-readings are tensor-product effect expectations on the embedded state, which
-makes convex linearity and mutual non-disturbance of channels hold by
-construction; both are still verified numerically in the test suite.
+A premeasurement copies which-branch information onto two or more pointer
+channels and keeps the object register (the first detector transmits rather
+than absorbs): V = sum_k (tensor_mu p_k^mu) (x) B_k, one pointer pair per
+channel and two complementary branch projectors. A model stores exactly
+those. Since B_1 B_2 = 0, coincidence effects and channel states have closed
+forms in the pointers, so no production path builds the dense isometry; the
+dense Kronecker route (`isometry`, `embed`, `_coincidence_effect`) is kept
+only as the oracle the closed forms are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -24,9 +27,7 @@ from .linalg import (
     State,
     ValidationError,
     complement,
-    matrix_from_json,
-    matrix_to_json,
-    partial_trace,
+    hermiticity_residual,
     prob_batch,
     support_projector,
 )
@@ -40,7 +41,6 @@ class ChannelLayout:
     """Ordered pointer channels; a measurement needs at least two."""
 
     channel_dims: tuple
-    labels: tuple | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.channel_dims)
@@ -49,66 +49,72 @@ class ChannelLayout:
         if any(d < 2 for d in dims):
             raise ValidationError("every channel needs dimension >= 2")
         object.__setattr__(self, "channel_dims", dims)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != len(dims):
-                raise ValidationError("label count does not match channel count")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n_channels(self) -> int:
         return len(self.channel_dims)
 
-    @property
-    def env_dim(self) -> int:
-        return prod(self.channel_dims)
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Premeasurement isometry from the object space into channels x object."""
+    """Premeasurement V = sum_k (tensor_mu p_k^mu) (x) B_k into channels x
+    object, stored as one pointer pair per channel and the branch projectors.
 
-    object_dim: int
+    Pointers must be unit vectors but need not be orthogonal (a deficient
+    channel cannot discriminate); the branches must be orthogonal projectors
+    with V^dag V = sum_ij (prod_mu <p_i^mu|p_j^mu>) B_i B_j = I.
+    """
+
     layout: ChannelLayout
-    isometry: np.ndarray
+    pointers: tuple
+    branches: tuple
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        v = np.array(self.isometry, dtype=np.complex128)
-        expected = (self.layout.env_dim * self.object_dim, self.object_dim)
-        if v.shape != expected:
-            raise DimensionMismatch(f"isometry shape {v.shape}, expected {expected}")
-        residual = np.max(np.abs(v.conj().T @ v - np.eye(self.object_dim)))
+        if len(self.pointers) != self.layout.n_channels:
+            raise ValidationError("one pointer pair per channel is required")
+        pointers = tuple(tuple(np.array(p, dtype=np.complex128).reshape(-1) for p in pair)
+                         for pair in self.pointers)
+        for mu, (p1, p2) in enumerate(pointers):
+            d = self.layout.channel_dims[mu]
+            if p1.shape != (d,) or p2.shape != (d,):
+                raise DimensionMismatch(f"pointer vectors on channel {mu} must have dim {d}")
+            if abs(np.linalg.norm(p1) - 1) > self.tol or abs(np.linalg.norm(p2) - 1) > self.tol:
+                raise ValidationError(f"pointer vectors on channel {mu} are not normalized")
+        b1, b2 = (np.array(b, dtype=np.complex128) for b in self.branches)
+        if b1.ndim != 2 or b1.shape[0] != b1.shape[1] or b2.shape != b1.shape:
+            raise DimensionMismatch(f"branch projectors of shapes {b1.shape} and "
+                                    f"{b2.shape} are not square on one object space")
+        b11, b22, b12 = b1 @ b1, b2 @ b2, b1 @ b2
+        split = max(hermiticity_residual(b1), hermiticity_residual(b2),
+                    np.max(np.abs(b11 - b1)), np.max(np.abs(b22 - b2)), np.max(np.abs(b12)))
+        if split > self.tol:
+            raise ValidationError(f"branches are not orthogonal projectors: residual {split:.3e}")
+        overlap = prod(np.vdot(p1, p2) for p1, p2 in pointers)
+        v_dag_v = b11 + b22 + overlap * b12 + np.conj(overlap) * b12.conj().T
+        residual = float(np.max(np.abs(v_dag_v - np.eye(len(b1)))))
         if residual > self.tol:
-            raise ValidationError(f"isometry residual {residual:.3e} > {self.tol:.3e}")
-        v.setflags(write=False)
-        object.__setattr__(self, "isometry", v)
+            raise ValidationError(f"branches do not resolve the identity: isometry "
+                                  f"residual {residual:.3e} > {self.tol:.3e}")
+        for a in (b1, b2, *(p for pair in pointers for p in pair)):
+            a.setflags(write=False)
+        object.__setattr__(self, "pointers", pointers)
+        object.__setattr__(self, "branches", (b1, b2))
 
     @property
-    def output_dims(self) -> tuple:
-        return self.layout.channel_dims + (self.object_dim,)
+    def object_dim(self) -> int:
+        return len(self.branches[0])
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """The dense (prod(channel_dims) * d x d) isometry; oracle use only."""
+        return sum(np.kron(reduce(np.kron, (pair[k] for pair in self.pointers))[:, None], b)
+                   for k, b in enumerate(self.branches))
 
     def embed(self, x: State) -> State:
-        return State(self.isometry @ x.matrix @ self.isometry.conj().T, self.tol)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "object_dim": self.object_dim,
-            "channel_dims": list(self.layout.channel_dims),
-            "isometry": {
-                "rows": self.isometry.shape[0],
-                "cols": self.isometry.shape[1],
-                "re": self.isometry.real.tolist(),
-                "im": self.isometry.imag.tolist(),
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, tol: float = DEFAULT_TOL) -> "MeasurementModel":
-        iso = obj["isometry"]
-        v = np.asarray(iso["re"], dtype=float) + 1j * np.asarray(iso["im"], dtype=float)
-        return cls(int(obj["object_dim"]),
-                   ChannelLayout(tuple(obj["channel_dims"])), v, tol)
+        """V X V^dag on channels x object; oracle use only."""
+        v = self.isometry
+        return State(v @ x.matrix @ v.conj().T, self.tol)
 
 
 @dataclass(frozen=True)
@@ -137,43 +143,17 @@ class ReadingSet:
 
 def build_premeasurement(x1: State, x2: State, layout: ChannelLayout,
                          pointer_pairs, pad_remainder: bool = False,
-                         allow_degenerate_pointers: bool = False,
                          tol: float = DEFAULT_TOL) -> MeasurementModel:
-    """Isometry sending the X1 branch to one pointer product and the X2 branch
-    (plus, optionally, the orthogonal remainder of the object space) to the
-    other, while keeping the object register intact.
+    """Premeasurement sending the X1 branch to one pointer product and the X2
+    branch (plus, optionally, the orthogonal remainder of the object space) to
+    the other, while keeping the object register intact.
 
-    Non-orthogonal pointer pairs are rejected by default; the result would
-    still be an isometry (the branch supports stay orthogonal) but the channel
-    could not discriminate. `allow_degenerate_pointers` admits them for
-    deliberately deficient models.
+    Non-orthogonal pointer pairs are rejected: the result would still be an
+    isometry, but the channel could not discriminate. A deliberately
+    deficient model is built as a `MeasurementModel` directly.
     """
-    if x1.dim != x2.dim:
-        raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
     if not is_orthogonal(x1, x2, tol):
         raise ValidationError("branch states must be orthogonal")
-    if len(pointer_pairs) != layout.n_channels:
-        raise ValidationError("one pointer pair per channel is required")
-
-    unit_pointers = []
-    for mu, (p1, p2) in enumerate(pointer_pairs):
-        p1 = np.asarray(p1, dtype=np.complex128).reshape(-1)
-        p2 = np.asarray(p2, dtype=np.complex128).reshape(-1)
-        d = layout.channel_dims[mu]
-        if p1.shape != (d,) or p2.shape != (d,):
-            raise DimensionMismatch(f"pointer vectors on channel {mu} must have dim {d}")
-        if abs(np.linalg.norm(p1) - 1) > tol or abs(np.linalg.norm(p2) - 1) > tol:
-            raise ValidationError(f"pointer vectors on channel {mu} are not normalized")
-        if abs(np.vdot(p1, p2)) > tol and not allow_degenerate_pointers:
-            raise ValidationError(f"pointer vectors on channel {mu} are not orthogonal")
-        unit_pointers.append((p1, p2))
-
-    u1 = np.ones(1, dtype=np.complex128)
-    u2 = np.ones(1, dtype=np.complex128)
-    for p1, p2 in unit_pointers:
-        u1 = np.kron(u1, p1)
-        u2 = np.kron(u2, p2)
-
     b1 = support_projector(x1).matrix
     b2 = support_projector(x2).matrix
     remainder = np.eye(x1.dim) - b1 - b2
@@ -184,12 +164,15 @@ def build_premeasurement(x1: State, x2: State, layout: ChannelLayout,
                 "branch supports do not span the object space; "
                 "set pad_remainder=True to route the remainder with the second branch")
         b2 = b2 + remainder
-
-    v = np.kron(u1[:, None], b1) + np.kron(u2[:, None], b2)
-    return MeasurementModel(x1.dim, layout, v, tol)
+    model = MeasurementModel(layout, pointer_pairs, (b1, b2), tol)
+    for mu, (p1, p2) in enumerate(model.pointers):
+        if abs(np.vdot(p1, p2)) > tol:
+            raise ValidationError(f"pointer vectors on channel {mu} are not orthogonal")
+    return model
 
 
 def _coincidence_effect(model: MeasurementModel, readings: ReadingSet) -> np.ndarray:
+    """The dense product effect on channels x object; oracle use only."""
     readings.validate_against(model.layout)
     e = np.ones((1, 1), dtype=np.complex128)
     for mu, d in enumerate(model.layout.channel_dims):
@@ -199,10 +182,14 @@ def _coincidence_effect(model: MeasurementModel, readings: ReadingSet) -> np.nda
 
 
 def realized_effect(model: MeasurementModel, readings: ReadingSet) -> Effect:
-    """The single object-space effect reproducing the coincidence probability."""
-    e = _coincidence_effect(model, readings)
-    v = model.isometry
-    return Effect(v.conj().T @ e @ v, model.tol)
+    """The single object-space effect reproducing the coincidence probability:
+    sum_k (prod_mu <p_k^mu|A_mu|p_k^mu>) B_k over the read channels."""
+    readings.validate_against(model.layout)
+    m = 0
+    for k, b in enumerate(model.branches):
+        read = [(model.pointers[mu][k], readings.entries[mu].matrix) for mu in readings.channels]
+        m = m + prod(np.vdot(p, a @ p).real for p, a in read) * b
+    return Effect(m, model.tol)
 
 
 def m_eval_batch(model: MeasurementModel, readings: ReadingSet,
@@ -232,11 +219,16 @@ def verify_separability(model: MeasurementModel, x: State, mu: int, nu: int,
 
 
 def reduced_channel_state(model: MeasurementModel, x: State, mu: int) -> State:
-    """State seen by one channel after the premeasurement."""
+    """State seen by one channel after the premeasurement:
+    sum_k Tr(B_k X) |p_k^mu><p_k^mu|."""
     if not 0 <= mu < model.layout.n_channels:
         raise DimensionMismatch(f"channel index {mu} outside layout")
-    rho = model.embed(x)
-    return State(partial_trace(rho.matrix, model.output_dims, {mu}), model.tol)
+    if x.dim != model.object_dim:
+        raise DimensionMismatch(f"state dim {x.dim} != object dim {model.object_dim}")
+    m = 0
+    for b, p in zip(model.branches, model.pointers[mu]):
+        m = m + np.einsum("ij,ji->", b, x.matrix).real * np.outer(p, p.conj())
+    return State(m, model.tol)
 
 
 def discriminating_reading(model: MeasurementModel, mu: int,

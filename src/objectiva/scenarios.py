@@ -43,7 +43,6 @@ from .measurement import (
 from .superposition import (
     DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
-    PURITY_TOL,
     SuperpositionSpec,
     superposition_family,
 )
@@ -225,14 +224,13 @@ def run_fig1b(config: ScenarioConfig) -> dict:
     }, config)
 
 
-def _two_channel_setup(labels: tuple, pointer_pair: tuple, tol: float):
+def _two_channel_setup(pointer_pair: tuple, tol: float):
     """Qubit object with branches |0>, |1>, recorded on two qubit channels
     that both use `pointer_pair`; returns the model, the discriminating
     readings of both channels and the two branch states."""
     x1 = pure_state(basis_vector(2, 0))
     x2 = pure_state(basis_vector(2, 1))
-    layout = ChannelLayout((2, 2), labels=labels)
-    model = build_premeasurement(x1, x2, layout, [pointer_pair] * 2, tol=tol)
+    model = build_premeasurement(x1, x2, ChannelLayout((2, 2)), [pointer_pair] * 2, tol=tol)
     readings = {mu: discriminating_reading(model, mu, x1, x2) for mu in (0, 1)}
     return model, readings, x1, x2
 
@@ -240,14 +238,12 @@ def _two_channel_setup(labels: tuple, pointer_pair: tuple, tol: float):
 def fig1c_setup(tol: float = DEFAULT_TOL):
     """Two stacked non-absorbing detectors in one arm, watching the same branch."""
     # per channel: branch-1 pointer fires (|1>), branch-2 pointer stays idle (|0>)
-    return _two_channel_setup(("detector-1", "detector-2"),
-                              (basis_vector(2, 1), basis_vector(2, 0)), tol)
+    return _two_channel_setup((basis_vector(2, 1), basis_vector(2, 0)), tol)
 
 
 def stern_gerlach_setup(tol: float = DEFAULT_TOL):
     """Spin-half object, two spatial channels recording the deflection branch."""
-    return _two_channel_setup(("screen-left", "screen-right"),
-                              (basis_vector(2, 0), basis_vector(2, 1)), tol)
+    return _two_channel_setup((basis_vector(2, 0), basis_vector(2, 1)), tol)
 
 
 def _two_channel_battery(model, readings, spec: SuperpositionSpec, members,
@@ -352,8 +348,8 @@ def run_custom(config: ScenarioConfig) -> dict:
     readings = {mu: discriminating_reading(model, mu, x1, x2)
                 for mu in range(layout.n_channels)}
     spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
-    pure = x1.purity() > 1 - PURITY_TOL and x2.purity() > 1 - PURITY_TOL
-    members = _grid_members(spec, config) if pure else [spec.incoherent_mixture()]
+    members = (_grid_members(spec, config) if spec.branch_vectors is not None
+               else [spec.incoherent_mixture()])
     theorem2 = verify_theorem2(model, 0, 1, readings[0], readings[1],
                                spec, members, tol=config.tol)
     return _finalize({

@@ -67,6 +67,14 @@ class SuperpositionSpec:
         on first use and kept for the life of the spec."""
         return kernel_projector(self.x1).matrix, kernel_projector(self.x2).matrix
 
+    @cached_property
+    def branch_vectors(self) -> tuple | None:
+        """Unit vectors (v1, v2) of pure branches, or None when either branch
+        is mixed (purity below 1 - PURITY_TOL); decided once per spec."""
+        if min(self.x1.purity(), self.x2.purity()) < 1 - PURITY_TOL:
+            return None
+        return tuple(np.linalg.eigh(x.matrix)[1][:, -1] for x in (self.x1, self.x2))
+
     def incoherent_mixture(self) -> State:
         return State(self.w1 * self.x1.matrix + self.w2 * self.x2.matrix, self.tol)
 
@@ -109,11 +117,6 @@ def make_pure_superposition(phi1, phi2, c1: complex, c2: complex,
     return pure_state(c1 * v1 + c2 * v2, tol)
 
 
-def _principal_vector(x: State) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(x.matrix)
-    return vecs[:, -1]
-
-
 def superposition_family(spec: SuperpositionSpec, coherence: float,
                          phase: float = 0.0) -> State:
     """A parametrized member: the incoherent mixture plus a scaled cross block.
@@ -125,10 +128,9 @@ def superposition_family(spec: SuperpositionSpec, coherence: float,
         raise ValidationError(f"coherence {coherence!r} outside [0, 1]")
     if coherence == 0.0:
         return spec.incoherent_mixture()
-    if spec.x1.purity() < 1 - PURITY_TOL or spec.x2.purity() < 1 - PURITY_TOL:
+    if spec.branch_vectors is None:
         raise ValidationError("coherent members are constructible for pure branches only")
-    v1 = _principal_vector(spec.x1)
-    v2 = _principal_vector(spec.x2)
+    v1, v2 = spec.branch_vectors
     amp = coherence * np.sqrt(spec.w1 * spec.w2) * np.exp(1j * phase)
     cross = amp * np.outer(v1, v2.conj())
     m = spec.w1 * spec.x1.matrix + spec.w2 * spec.x2.matrix + cross + cross.conj().T

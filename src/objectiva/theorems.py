@@ -19,7 +19,6 @@ from .linalg import (
     State,
     ValidationError,
     complement,
-    kernel_projector,
     prob,
     prob_batch,
     stack_states,
@@ -241,15 +240,15 @@ def membership_violation(x: State, spec: SuperpositionSpec,
 
     For effects A supported on the kernel of X1 the candidate must satisfy
     Tr(A X) = w2 Tr(A X2), and symmetrically. Vectorized over a batch of
-    trace-normalized Wishart effects; independent of the block test.
+    trace-normalized Wishart effects; shares only the spec's kernel
+    projectors with the block test.
     """
     rng = np.random.default_rng(seed)
     d = spec.dim
     g = rng.standard_normal((samples, d, d)) + 1j * rng.standard_normal((samples, d, d))
     b = g @ g.conj().transpose(0, 2, 1)
     b /= np.trace(b, axis1=1, axis2=2).real[:, None, None]
-    q1 = kernel_projector(spec.x1).matrix
-    q2 = kernel_projector(spec.x2).matrix
+    q1, q2 = spec.kernel_projectors
 
     def side(q, target, weight):
         a = q[None] @ b @ q[None]

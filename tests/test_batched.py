@@ -1,17 +1,22 @@
 """The batched evaluation path: one realized effect per reading set, evaluated
 on a stacked member array, checked against the per-member calls and against
-the dense expectation on the embedded state."""
+the dense expectation on the embedded state; the closed-form channel states
+checked against the partial trace of the embedded state."""
 
 import numpy as np
 import pytest
 
 from objectiva import (
     ChannelLayout,
+    DimensionMismatch,
     Effect,
+    MeasurementModel,
     ReadingSet,
     SuperpositionSpec,
     ValidationError,
+    basis_vector,
     build_premeasurement,
+    discriminating_reading,
     is_member,
     m_eval,
     oracle_is_member,
@@ -20,27 +25,62 @@ from objectiva import (
     random_effect,
     random_orthonormal,
     random_state,
+    reduced_channel_state,
     superposition_family,
     verify_theorem2,
 )
 from objectiva import cli, linalg, measurement
-from objectiva.linalg import prob_batch, stack_states
+from objectiva.linalg import partial_trace, prob_batch, stack_states
 from objectiva.measurement import _coincidence_effect, m_eval_batch
 from objectiva.scenarios import fig1c_setup
 from objectiva.superposition import is_member_batch
 
-from helpers import orthogonal_pure_pair
+from helpers import orthogonal_mixed_pair, orthogonal_pure_pair
 
 
-def random_model(rng, object_dim, n_channels):
-    cols = random_orthonormal(object_dim, 2, rng)
+def random_pointers(rng, channel_dims):
     pointers = []
-    for _ in range(n_channels):
-        q = random_orthonormal(2, 2, rng)
+    for d in channel_dims:
+        q = random_orthonormal(d, 2, rng)
         pointers.append((q[:, 0], q[:, 1]))
-    return build_premeasurement(pure_state(cols[:, 0]), pure_state(cols[:, 1]),
-                                ChannelLayout((2,) * n_channels), pointers,
+    return pointers
+
+
+def random_model(rng, object_dim, n_channels, channel_dim=2):
+    x1, x2 = orthogonal_pure_pair(object_dim, rng)
+    return build_premeasurement(x1, x2, ChannelLayout((channel_dim,) * n_channels),
+                                random_pointers(rng, (channel_dim,) * n_channels),
                                 pad_remainder=object_dim > 2)
+
+
+def mixed_padded_model(rng):
+    """Rank-2 and rank-1 branches in dim 5; the rank-2 remainder joins branch 2."""
+    x1, x2 = orthogonal_mixed_pair(5, rng, rank1=2, rank2=1)
+    dims = (2, 3, 2)
+    return build_premeasurement(x1, x2, ChannelLayout(dims), random_pointers(rng, dims),
+                                pad_remainder=True)
+
+
+def degenerate_model(rng):
+    """Built directly: channel 1's pointers overlap, so it cannot discriminate."""
+    cols = random_orthonormal(3, 1, rng)
+    b1 = np.outer(cols[:, 0], cols[:, 0].conj())
+    pointers = random_pointers(rng, (2, 2, 3))
+    skew = pointers[1][0] + 0.4 * pointers[1][1]
+    pointers[1] = (pointers[1][0], skew / np.linalg.norm(skew))
+    return MeasurementModel(ChannelLayout((2, 2, 3)), pointers, (b1, np.eye(3) - b1))
+
+
+EXTRA_MODELS = {
+    "channel-dim-3": lambda rng: random_model(rng, 2, 2, channel_dim=3),
+    "four-channels": lambda rng: random_model(rng, 3, 4),
+    "five-channels": lambda rng: random_model(rng, 2, 5),
+    "pad-remainder-mixed": mixed_padded_model,
+    "degenerate-pointers": degenerate_model,
+}
+ALL_MODELS = {**{f"obj{d}-n{n}": (lambda rng, d=d, n=n: random_model(rng, d, n))
+                 for d in (2, 3, 4) for n in (2, 3)},
+              **EXTRA_MODELS}
 
 
 def dense_oracle(model, readings, x):
@@ -65,11 +105,19 @@ class TestBatchedCoincidence:
     @pytest.mark.parametrize("object_dim", [2, 3, 4])
     @pytest.mark.parametrize("n_channels", [2, 3])
     def test_matches_member_loop_and_dense_oracle(self, rng, object_dim, n_channels):
-        model = random_model(rng, object_dim, n_channels)
-        members = random_members(rng, object_dim, 7)
-        matrices, tols = stack_states(members, object_dim)
-        effects = {mu: random_effect(2, int(rng.integers(2**32)))
-                   for mu in range(n_channels)}
+        self.check_against_dense_oracle(rng, random_model(rng, object_dim, n_channels))
+
+    @pytest.mark.parametrize("kind", EXTRA_MODELS)
+    def test_extra_models_match_member_loop_and_dense_oracle(self, rng, kind):
+        self.check_against_dense_oracle(rng, EXTRA_MODELS[kind](rng))
+
+    @staticmethod
+    def check_against_dense_oracle(rng, model):
+        n_channels = model.layout.n_channels
+        members = random_members(rng, model.object_dim, 7)
+        matrices, tols = stack_states(members, model.object_dim)
+        effects = {mu: random_effect(d, int(rng.integers(2**32)))
+                   for mu, d in enumerate(model.layout.channel_dims)}
         reading_sets = [ReadingSet({}), ReadingSet({0: effects[0]}),
                         ReadingSet({n_channels - 1: effects[n_channels - 1]}),
                         ReadingSet(effects)]
@@ -103,6 +151,55 @@ class TestBatchedCoincidence:
         matrices = np.array([np.diag([0.5, 0.5]), np.diag([2.0, -1.0])], dtype=complex)
         with pytest.raises(ValidationError, match="of state 1 outside"):
             prob_batch(a, matrices, 1e-10)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("kind", ALL_MODELS)
+    def test_reduced_channel_state_matches_partial_trace(self, rng, kind):
+        model = ALL_MODELS[kind](rng)
+        dims = model.layout.channel_dims + (model.object_dim,)
+        for x in random_members(rng, model.object_dim, 3):
+            embedded = model.embed(x).matrix
+            for mu in range(model.layout.n_channels):
+                dense = partial_trace(embedded, dims, {mu})
+                closed = reduced_channel_state(model, x, mu).matrix
+                assert np.max(np.abs(closed - dense)) <= 1e-12
+
+    def test_model_rejects_wrong_pointer_dim(self):
+        e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+        with pytest.raises(DimensionMismatch, match="channel 1 must have dim 3"):
+            MeasurementModel(ChannelLayout((2, 3)), [(e0, e1), (e0, e1)],
+                             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+    def test_model_rejects_unnormalized_pointers(self):
+        e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+        with pytest.raises(ValidationError, match="channel 0 are not normalized"):
+            MeasurementModel(ChannelLayout((2, 2)), [(e0, 1.1 * e1), (e0, e1)],
+                             (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+
+    def test_model_rejects_branches_that_do_not_resolve_the_identity(self):
+        e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+        pointers = [(e0, e1), (e0, e1)]
+        with pytest.raises(ValidationError, match="do not resolve the identity"):
+            MeasurementModel(ChannelLayout((2, 2)), pointers,
+                             (np.diag([1.0, 0.0]), np.zeros((2, 2))))
+        with pytest.raises(ValidationError, match="not orthogonal projectors"):
+            MeasurementModel(ChannelLayout((2, 2)), pointers,
+                             (np.eye(2) / 2, np.eye(2) / 2))
+
+    def test_sixteen_channels_without_the_dense_route(self, rng, monkeypatch):
+        def no_kron(*args, **kwargs):
+            raise AssertionError("the dense Kronecker route was used")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        x1, x2 = pure_state(basis_vector(2, 0)), pure_state(basis_vector(2, 1))
+        model = build_premeasurement(x1, x2, ChannelLayout((2,) * 16),
+                                     random_pointers(rng, (2,) * 16))
+        readings = [discriminating_reading(model, mu, x1, x2) for mu in range(16)]
+        spec = SuperpositionSpec(x1, x2, 0.3, 0.7)
+        members = [superposition_family(spec, c, 0.7) for c in (0.0, 0.5, 1.0)]
+        report = verify_theorem2(model, 0, 15, readings[0], readings[15], spec, members)
+        assert report.passed, report.to_dict()
 
 
 class TestBatchedMembership:

@@ -46,6 +46,10 @@ MALFORMED_CONFIGS = [
                   "extra": {**CUSTOM_EXTRA,
                             "x1": matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex))}},
                  id="branch-dims-differ"),
+    pytest.param({"scenario": "custom",
+                  "extra": {**CUSTOM_EXTRA, "x1": {"re": [[1, 0], [0, 0]],
+                                                   "im": [[0, 0], [0, 0]]}}},
+                 id="matrix-without-dim"),
 ]
 
 
@@ -211,6 +215,33 @@ class TestCli:
         path = self.write_config(tmp_path, {"scenario": "fig1a_interference"})
         assert main(["run", path, "--format", "text"]) == 0
         assert "pass: True" in capsys.readouterr().out
+
+    def test_text_report_prints_a_null_residual(self, tmp_path, capsys, monkeypatch):
+        # a leaky coincidence effect fails theorem 1' preconditions, which
+        # leaves max_coincidence_probability null
+        phi1, phi2, a_cc = fig1b_arms()
+        leaky = Effect(a_cc.matrix + 0.05 * np.outer(phi1, phi1.conj()))
+        monkeypatch.setattr(scenarios, "fig1b_arms", lambda: (phi1, phi2, leaky))
+        path = self.write_config(tmp_path, {"scenario": "fig1b_coincidence"})
+        assert main(["run", path, "--format", "text"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "residual max_coincidence_probability: null" in lines
+
+    def test_sample_has_no_format_option(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"scenario": "stern_gerlach", "trials": 5})
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", path, "--format", "text"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_key_error_inside_a_run_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def defect(config):
+            raise KeyError("defect")
+
+        monkeypatch.setattr(cli, "run_scenario", defect)
+        path = self.write_config(tmp_path, {"scenario": "fig1a_interference"})
+        with pytest.raises(KeyError, match="defect"):
+            main(["run", path])
 
     def test_failed_run_exits_one_with_report(self, tmp_path, capsys):
         # at tolerance 0 the fringe's rounding error fails the closed-form check

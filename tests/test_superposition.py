@@ -114,6 +114,26 @@ class TestFamily:
             superposition_family(spec, 0.5)
         # the incoherent mixture is always constructible
         assert is_member(superposition_family(spec, 0.0), spec)
+        assert spec.branch_vectors is None
+
+    def test_branch_vectors_decided_once_per_spec(self, rng, monkeypatch):
+        x1, x2 = orthogonal_pure_pair(3, rng)
+        spec = SuperpositionSpec(x1, x2, 0.3, 0.7)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        members = [superposition_family(spec, c, ph)
+                   for c in (0.25, 0.5, 1.0) for ph in (0.0, 1.0, 2.0)]
+        assert len(calls) == 2
+        v1, v2 = spec.branch_vectors
+        assert np.allclose(np.outer(v1, v1.conj()), x1.matrix)
+        assert np.allclose(np.outer(v2, v2.conj()), x2.matrix)
+        assert all(is_member(x, spec, tol=1e-10) for x in members)
 
 
 class TestMembership:
