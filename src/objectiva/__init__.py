@@ -10,6 +10,7 @@ from .linalg import (
     DimensionMismatch,
     Effect,
     State,
+    StateStack,
     ValidationError,
     basis_vector,
     complement,
@@ -36,6 +37,7 @@ from .superposition import (
     is_sensitive_to_interference,
     make_pure_superposition,
     superposition_family,
+    superposition_members,
 )
 from .discrimination import (
     DiscriminationError,

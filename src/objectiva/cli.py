@@ -56,7 +56,12 @@ from .scenarios import (
     run_stern_gerlach,
     stern_gerlach_setup,
 )
-from .superposition import SuperpositionSpec, is_member, superposition_family
+from .superposition import (
+    SuperpositionSpec,
+    is_member,
+    superposition_family,
+    superposition_members,
+)
 from .theorems import (
     DEFAULT_WEIGHT_GRID,
     counterexample_search,
@@ -98,8 +103,8 @@ def _check_theorem1_prime(seed: int) -> tuple:
     vecs = random_orthonormal(dim, 2, rng)
     spec = SuperpositionSpec(pure_state(vecs[:, 0]), pure_state(vecs[:, 1]), 0.5, 0.5)
     a = _blind_effect(dim, vecs[:, 0], vecs[:, 1], rng.integers(2**32))
-    members = [superposition_family(spec, c, ph)
-               for c in (0.0, 0.5, 1.0) for ph in np.linspace(0, 2 * np.pi, 8, False)]
+    members = superposition_members(spec, (0.0, 0.5, 1.0),
+                                    np.linspace(0, 2 * np.pi, 8, False))
     report = verify_theorem1_prime(a, spec, members)
     return report.passed, f"max member probability {report.residuals['max_member_prob']:.2e}"
 
@@ -199,7 +204,7 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
 
         model, readings, x1, x2 = _mutated_pointer_model()
         spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
-        members = [superposition_family(spec, c, 0.0) for c in (0.0, 0.5, 1.0)]
+        members = superposition_members(spec, (0.0, 0.5, 1.0), (0.0,))
         report = verify_theorem2(model, 0, 1, readings[0], readings[1], spec, members)
         checks.append(("fig1c-reduction[mutated-pointers]", report.passed,
                        str(report.preconditions)))
@@ -218,8 +223,7 @@ def _check_scenarios(seed: int, mutation: str | None) -> list:
 def _check_necessity(seed: int) -> tuple:
     model, readings, x1, x2 = fig1c_setup()
     spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
-    members = [superposition_family(spec, c, ph)
-               for c in (0.0, 1.0) for ph in (0.0, np.pi / 3)]
+    members = superposition_members(spec, (0.0, 1.0), (0.0, np.pi / 3))
     previous = -1.0
     for eta in (0.0, 0.01, 0.05, 0.1, 0.2):
         report = counterexample_search(model, 0, 1, readings[0], readings[1],

@@ -100,13 +100,70 @@ class Effect:
         return self.matrix.shape[0]
 
 
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """An (n, d, d) stack of density matrices sharing one tolerance.
+
+    Every member passes the checks of `State` at construction, batched over
+    the stack (one `eigvalsh` call); an error names the first failing member.
+    Indexing gives a member as a `State`.
+    """
+
+    matrices: np.ndarray
+    tol: float = DEFAULT_TOL
+
+    def __post_init__(self):
+        if self.tol < 0:
+            raise ValidationError("tolerance must be nonnegative")
+        # no copy: the array stored is the symmetrized one made below
+        m = np.asarray(self.matrices, dtype=np.complex128)
+        if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
+            raise ValidationError(
+                f"expected a stack of nonempty square matrices, got shape {m.shape}")
+        if (k := _first(~np.isfinite(m).all(axis=(1, 2)))) is not None:
+            raise ValidationError(f"member {k} contains NaN or Inf entries")
+        res = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+        if (k := _first(res > self.tol)) is not None:
+            raise ValidationError(
+                f"member {k} is not Hermitian: residual {res[k]:.3e} > {self.tol:.3e}")
+        m = 0.5 * (m + m.conj().swapaxes(1, 2))
+        lo = np.linalg.eigvalsh(m)[:, 0]
+        if (k := _first(lo < -self.tol)) is not None:
+            raise ValidationError(f"member {k} is not PSD: min eigenvalue {lo[k]:.3e}")
+        tr = np.trace(m, axis1=1, axis2=2).real
+        if (k := _first(np.abs(tr - 1.0) > self.tol)) is not None:
+            raise ValidationError(f"member {k} trace is {float(tr[k])!r}, expected 1")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrices", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[1]
+
+    def __len__(self) -> int:
+        return self.matrices.shape[0]
+
+    def __getitem__(self, k) -> State:
+        return State(self.matrices[k], self.tol)
+
+
 def identity_effect(dim: int, tol: float = DEFAULT_TOL) -> Effect:
     return Effect(np.eye(dim), tol)
 
 
 def stack_states(states, dim: int) -> tuple:
     """The matrices of `states` as one (n, dim, dim) array, with their
-    tolerances as an (n,) array: the operand of the batched evaluations."""
+    tolerances (an (n,) array, or a `StateStack`'s one tolerance): the operand
+    of the batched evaluations. A `StateStack` gives its own arrays."""
+    if isinstance(states, StateStack):
+        if states.dim != dim:
+            raise DimensionMismatch(f"stack has dim {states.dim}, expected {dim}")
+        return states.matrices, states.tol
     matrices = np.empty((len(states), dim, dim), dtype=np.complex128)
     for k, x in enumerate(states):
         if x.dim != dim:

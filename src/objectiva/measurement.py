@@ -250,12 +250,11 @@ def joint_outcome_distribution(model: MeasurementModel, readings: ReadingSet,
     channels = readings.channels
     if len(channels) > MAX_SAMPLED_CHANNELS:
         raise ValidationError(f"distribution table over {len(channels)} channels is too large")
+    negated = {mu: complement(readings.entries[mu]) for mu in channels}
     dist = {}
     for bits in product((1, 0), repeat=len(channels)):
-        picked = {
-            mu: readings.entries[mu] if bit else complement(readings.entries[mu])
-            for mu, bit in zip(channels, bits)
-        }
+        picked = {mu: readings.entries[mu] if bit else negated[mu]
+                  for mu, bit in zip(channels, bits)}
         dist[bits] = m_eval(model, ReadingSet(picked), x)
     total = sum(dist.values())
     if abs(total - 1.0) > 1e-9:

@@ -28,7 +28,7 @@ from .linalg import (
     basis_vector,
     complement,
     matrix_from_json,
-    prob,
+    prob_batch,
     pure_state,
     stack_states,
 )
@@ -44,7 +44,7 @@ from .superposition import (
     DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
     SuperpositionSpec,
-    superposition_family,
+    superposition_members,
 )
 from .theorems import (
     counterexample_search,
@@ -156,9 +156,8 @@ def _two_arm_spec(config: ScenarioConfig, dim: int = 2,
         config.w1, config.w2, config.tol)
 
 
-def _grid_members(spec: SuperpositionSpec, config: ScenarioConfig) -> list:
-    return [superposition_family(spec, c, ph)
-            for c in config.coherence_grid for ph in config.phase_grid]
+def _grid_members(spec: SuperpositionSpec, config: ScenarioConfig):
+    return superposition_members(spec, config.coherence_grid, config.phase_grid)
 
 
 def run_fig1a(config: ScenarioConfig) -> dict:
@@ -171,11 +170,13 @@ def run_fig1a(config: ScenarioConfig) -> dict:
     spec = _two_arm_spec(config)
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / np.sqrt(2)
     port = Effect(np.outer(plus, plus.conj()), config.tol)
+    members = _grid_members(spec, config)
+    grid = prob_batch(port, members.matrices, members.tol).reshape(
+        len(config.coherence_grid), len(config.phase_grid))
     rows = []
     worst = 0.0
-    for c in config.coherence_grid:
-        probs = [prob(port, superposition_family(spec, c, ph))
-                 for ph in config.phase_grid]
+    for c, row in zip(config.coherence_grid, grid):
+        probs = row.tolist()
         expected = [0.5 + c * np.sqrt(config.w1 * config.w2) * np.cos(ph)
                     for ph in config.phase_grid]
         worst = max(worst, float(max(abs(p - e) for p, e in zip(probs, expected))))

@@ -18,8 +18,12 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatch,
     State,
+    StateStack,
     ValidationError,
+    _first,
     kernel_projector,
+    prob,
+    prob_batch,
     pure_state,
 )
 
@@ -78,28 +82,6 @@ class SuperpositionSpec:
     def incoherent_mixture(self) -> State:
         return State(self.w1 * self.x1.matrix + self.w2 * self.x2.matrix, self.tol)
 
-    def to_json_dict(self) -> dict:
-        from .linalg import matrix_to_json
-
-        return {
-            "x1": matrix_to_json(self.x1.matrix),
-            "x2": matrix_to_json(self.x2.matrix),
-            "w1": self.w1,
-            "w2": self.w2,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, tol: float = DEFAULT_TOL) -> "SuperpositionSpec":
-        from .linalg import matrix_from_json
-
-        return cls(
-            State(matrix_from_json(obj["x1"]), tol),
-            State(matrix_from_json(obj["x2"]), tol),
-            float(obj["w1"]),
-            float(obj["w2"]),
-            tol,
-        )
-
 
 def make_pure_superposition(phi1, phi2, c1: complex, c2: complex,
                             tol: float = DEFAULT_TOL) -> State:
@@ -117,24 +99,38 @@ def make_pure_superposition(phi1, phi2, c1: complex, c2: complex,
     return pure_state(c1 * v1 + c2 * v2, tol)
 
 
+def superposition_members(spec: SuperpositionSpec, coherences, phases) -> StateStack:
+    """The coherence x phase grid of members (coherence outer, phase inner) as
+    one validated stack: the incoherent mixture plus a scaled cross block
+    coherence * sqrt(w1 w2) * exp(i phase) |v1><v2| + h.c.
+
+    Requires pure branches whenever a coherence is > 0; coherence 0 always
+    yields the incoherent mixture.
+    """
+    coherences = tuple(coherences)
+    c = np.array(coherences, dtype=float)
+    ph = np.array(tuple(phases), dtype=float)
+    # written so that NaN fails too
+    if (k := _first(~((c >= 0.0) & (c <= 1.0)))) is not None:
+        raise ValidationError(f"coherence {coherences[k]!r} outside [0, 1]")
+    d = spec.dim
+    mixture = spec.w1 * spec.x1.matrix + spec.w2 * spec.x2.matrix
+    m = np.broadcast_to(mixture, (c.size, ph.size, d, d)).copy()
+    coherent = c > 0.0
+    if coherent.any():
+        if spec.branch_vectors is None:
+            raise ValidationError("coherent members are constructible for pure branches only")
+        v1, v2 = spec.branch_vectors
+        amp = c[coherent, None] * np.sqrt(spec.w1 * spec.w2) * np.exp(1j * ph)
+        cross = amp[..., None, None] * np.outer(v1, v2.conj())
+        m[coherent] = mixture + cross + cross.conj().swapaxes(-1, -2)
+    return StateStack(m.reshape(-1, d, d), spec.tol)
+
+
 def superposition_family(spec: SuperpositionSpec, coherence: float,
                          phase: float = 0.0) -> State:
-    """A parametrized member: the incoherent mixture plus a scaled cross block.
-
-    Requires pure branches whenever coherence > 0; coherence = 0 always yields
-    the incoherent mixture.
-    """
-    if not 0.0 <= coherence <= 1.0:
-        raise ValidationError(f"coherence {coherence!r} outside [0, 1]")
-    if coherence == 0.0:
-        return spec.incoherent_mixture()
-    if spec.branch_vectors is None:
-        raise ValidationError("coherent members are constructible for pure branches only")
-    v1, v2 = spec.branch_vectors
-    amp = coherence * np.sqrt(spec.w1 * spec.w2) * np.exp(1j * phase)
-    cross = amp * np.outer(v1, v2.conj())
-    m = spec.w1 * spec.x1.matrix + spec.w2 * spec.x2.matrix + cross + cross.conj().T
-    return State(m, spec.tol)
+    """One member: the one-member case of `superposition_members`."""
+    return superposition_members(spec, (coherence,), (phase,))[0]
 
 
 def is_member_batch(matrices: np.ndarray, spec: SuperpositionSpec,
@@ -162,13 +158,8 @@ def is_sensitive_to_interference(a, spec: SuperpositionSpec,
                                  phase_grid=DEFAULT_PHASE_GRID,
                                  tol: float | None = None) -> bool:
     """True iff the effect's probability varies across the member family."""
-    from .linalg import prob
-
     tol = spec.tol if tol is None else tol
-    mixture = spec.incoherent_mixture()
-    baseline = prob(a, mixture)
-    worst = 0.0
-    for c in coherence_grid:
-        for ph in phase_grid:
-            worst = max(worst, abs(prob(a, superposition_family(spec, c, ph)) - baseline))
-    return worst > tol
+    baseline = prob(a, spec.incoherent_mixture())
+    members = superposition_members(spec, coherence_grid, phase_grid)
+    probs = prob_batch(a, members.matrices, members.tol)
+    return float(np.max(np.abs(probs - baseline), initial=0.0)) > tol

@@ -3,6 +3,8 @@ on a stacked member array, checked against the per-member calls and against
 the dense expectation on the embedded state; the closed-form channel states
 checked against the partial trace of the embedded state."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,17 @@ from objectiva import (
     Effect,
     MeasurementModel,
     ReadingSet,
+    State,
+    StateStack,
     SuperpositionSpec,
     ValidationError,
     basis_vector,
     build_premeasurement,
+    complement,
+    counterexample_search,
     discriminating_reading,
     is_member,
+    joint_outcome_distribution,
     m_eval,
     oracle_is_member,
     prob,
@@ -27,12 +34,14 @@ from objectiva import (
     random_state,
     reduced_channel_state,
     superposition_family,
+    superposition_members,
+    verify_theorem1_prime,
     verify_theorem2,
 )
-from objectiva import cli, linalg, measurement
+from objectiva import cli, linalg, measurement, scenarios
 from objectiva.linalg import partial_trace, prob_batch, stack_states
 from objectiva.measurement import _coincidence_effect, m_eval_batch
-from objectiva.scenarios import fig1c_setup
+from objectiva.scenarios import ScenarioConfig, fig1c_setup, run_fig1a
 from objectiva.superposition import is_member_batch
 
 from helpers import orthogonal_mixed_pair, orthogonal_pure_pair
@@ -273,3 +282,156 @@ class TestDenseRouteStaysIndependent:
         self.break_batched_evaluation(monkeypatch)
         ok, detail = cli._check_realized_effect(0)
         assert not ok, detail
+
+
+def loop_member(spec, coherence, phase):
+    """One member built and validated on its own, as before member stacks:
+    the incoherent mixture plus amp |v1><v2| + h.c."""
+    if coherence == 0.0:
+        return spec.incoherent_mixture()
+    v1, v2 = spec.branch_vectors
+    amp = coherence * np.sqrt(spec.w1 * spec.w2) * np.exp(1j * phase)
+    cross = amp * np.outer(v1, v2.conj())
+    return State(spec.w1 * spec.x1.matrix + spec.w2 * spec.x2.matrix + cross + cross.conj().T,
+                 spec.tol)
+
+
+COHERENCES = (0.0, 0.3, 1.0, 0.0, 0.77)
+PHASES = (0.0, 1.1, -2.0, np.pi, 2 * np.pi * 4 / 5)
+
+
+class TestMemberStack:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_stack_equals_the_member_loop(self, rng, dim):
+        for w1 in (0.0, 0.2, 0.5, 0.83, 1.0):
+            x1, x2 = orthogonal_pure_pair(dim, rng)
+            spec = SuperpositionSpec(x1, x2, w1, 1.0 - w1)
+            stack = superposition_members(spec, COHERENCES, PHASES)
+            assert isinstance(stack, StateStack)
+            assert len(stack) == len(COHERENCES) * len(PHASES)
+            grid = list(product(COHERENCES, PHASES))
+            loop = [loop_member(spec, c, ph) for c, ph in grid]
+            assert np.max(np.abs(stack.matrices - stack_states(loop, dim)[0])) == 0.0
+            for k, (c, ph) in enumerate(grid):
+                assert np.max(np.abs(stack[k].matrix - loop[k].matrix)) == 0.0
+                assert np.max(np.abs(superposition_family(spec, c, ph).matrix
+                                     - loop[k].matrix)) == 0.0
+
+    def test_mixed_branches_with_coherence_zero_only(self, rng):
+        x1, x2 = orthogonal_mixed_pair(4, rng, rank1=2, rank2=1)
+        spec = SuperpositionSpec(x1, x2, 0.4, 0.6)
+        stack = superposition_members(spec, (0.0, 0.0), (0.0, 1.0))
+        assert len(stack) == 4
+        mixture = spec.incoherent_mixture().matrix
+        assert all(np.array_equal(m, mixture) for m in stack.matrices)
+        with pytest.raises(ValidationError, match="pure branches only"):
+            superposition_members(spec, (0.0, 0.5), (0.0,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+    def test_rejects_coherence_outside_the_unit_interval(self, rng, bad):
+        spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.5, 0.5)
+        message = f"coherence {bad!r} outside \\[0, 1\\]"
+        # a grid with no coherence > 0 must not fall through to the mixture
+        with pytest.raises(ValidationError, match=message):
+            superposition_members(spec, (0.0, bad), (0.0, 1.0))
+        with pytest.raises(ValidationError, match=message):
+            superposition_family(spec, bad)
+
+    def test_one_eigvalsh_per_grid(self, rng, monkeypatch):
+        spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.3, 0.7)
+        spec.branch_vectors  # decided once per spec, before counting
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        stack = superposition_members(spec, np.linspace(0, 1, 7), np.linspace(0, 6, 9))
+        assert calls == [(63, 3, 3)]
+        assert stack_states(stack, 3)[0] is stack.matrices
+
+    @staticmethod
+    def corrupted(k, member):
+        stack = np.array([np.diag([0.5, 0.5]), np.diag([0.25, 0.75]), np.diag([1.0, 0.0])],
+                         dtype=complex)
+        stack[k] = member
+        return stack
+
+    @pytest.mark.parametrize("member,message", [
+        (np.array([[0.5, 1e-3], [0.0, 0.5]]), "member 1 is not Hermitian"),
+        (np.diag([1.5, -0.5]), "member 1 is not PSD"),
+        (np.diag([0.6, 0.6]), "member 1 trace is"),
+        (np.diag([np.nan, 0.5]), "member 1 contains NaN or Inf"),
+        (np.diag([np.inf, 0.5]), "member 1 contains NaN or Inf"),
+    ])
+    def test_stack_rejects_an_invalid_member(self, member, message):
+        with pytest.raises(ValidationError, match=message):
+            StateStack(self.corrupted(1, member))
+        # the same checks as State, at the same tolerance
+        with pytest.raises(ValidationError):
+            State(member)
+
+    def test_stack_checks_shape_and_tolerance(self):
+        with pytest.raises(ValidationError, match="nonempty square"):
+            StateStack(np.zeros((2, 2, 3)))
+        with pytest.raises(ValidationError, match="nonnegative"):
+            StateStack(self.corrupted(0, np.diag([0.5, 0.5])), tol=-1.0)
+        with pytest.raises(DimensionMismatch, match="stack has dim 2"):
+            stack_states(StateStack(self.corrupted(0, np.diag([0.5, 0.5]))), 3)
+
+    def test_stack_is_read_only(self):
+        stack = StateStack(self.corrupted(0, np.diag([0.5, 0.5])))
+        with pytest.raises(ValueError):
+            stack.matrices[0, 0, 0] = 1.0
+
+    def test_verifiers_give_the_same_report_for_a_stack_and_a_list(self):
+        model, readings, x1, x2 = fig1c_setup()
+        spec = SuperpositionSpec(x1, x2, 0.35, 0.65)
+        stack = superposition_members(spec, (0.0, 0.3, 1.0), (0.0, 1.0, 2.5))
+        members = [stack[k] for k in range(len(stack))]
+        args = (model, 0, 1, readings[0], readings[1], spec)
+        assert (verify_theorem2(*args, stack).to_dict()
+                == verify_theorem2(*args, members).to_dict())
+        for noise in (0.0, 0.05):
+            assert (counterexample_search(*args, noise, stack).to_dict()
+                    == counterexample_search(*args, noise, members).to_dict())
+        blind = Effect(np.zeros((2, 2)))
+        assert (verify_theorem1_prime(blind, spec, stack).to_dict()
+                == verify_theorem1_prime(blind, spec, members).to_dict())
+
+    @pytest.mark.parametrize("w1", [0.123, 0.3, 0.5, 0.7])
+    def test_fig1a_fringe_equals_the_prob_loop(self, w1):
+        config = ScenarioConfig("fig1a_interference", w1=w1, w2=1.0 - w1)
+        spec = scenarios._two_arm_spec(config)
+        plus = (basis_vector(2, 0) + basis_vector(2, 1)) / np.sqrt(2)
+        port = Effect(np.outer(plus, plus.conj()), config.tol)
+        rows = run_fig1a(config)["fringe"]
+        for row, c in zip(rows, config.coherence_grid):
+            assert row["probabilities"] == [prob(port, loop_member(spec, c, ph))
+                                            for ph in config.phase_grid]
+
+
+class TestJointTable:
+    def test_one_complement_per_channel(self, rng, monkeypatch):
+        model = random_model(rng, 3, 4)
+        readings = ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
+                               for mu in range(4)})
+        x = random_state(3, 7)
+        # the table as before: the complement rebuilt for every pattern
+        expected = {}
+        for bits, _ in joint_outcome_distribution(model, readings, x).items():
+            picked = {mu: readings.entries[mu] if b else complement(readings.entries[mu])
+                      for mu, b in zip(readings.channels, bits)}
+            expected[bits] = m_eval(model, ReadingSet(picked), x)
+        calls = []
+        exact = measurement.complement
+
+        def counting_complement(a):
+            calls.append(a)
+            return exact(a)
+
+        monkeypatch.setattr(measurement, "complement", counting_complement)
+        assert joint_outcome_distribution(model, readings, x) == expected
+        assert len(calls) == 4
