@@ -14,7 +14,6 @@ from .linalg import (
     ValidationError,
     basis_vector,
     complement,
-    identity_effect,
     kernel_projector,
     matrix_from_json,
     matrix_to_json,
@@ -27,7 +26,6 @@ from .linalg import (
     random_state,
     stack_states,
     support_projector,
-    tensor,
 )
 from .superposition import (
     SuperpositionSpec,
@@ -35,7 +33,6 @@ from .superposition import (
     is_member_batch,
     is_orthogonal,
     is_sensitive_to_interference,
-    make_pure_superposition,
     superposition_family,
     superposition_members,
 )
@@ -67,7 +64,6 @@ from .theorems import (
     inclusion_exclusion_batch,
     inclusion_exclusion_distribution,
     membership_violation,
-    oracle_is_member,
     verify_theorem1,
     verify_theorem1_prime,
     verify_theorem2,

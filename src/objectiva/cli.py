@@ -65,7 +65,7 @@ from .superposition import (
 from .theorems import (
     DEFAULT_WEIGHT_GRID,
     counterexample_search,
-    oracle_is_member,
+    membership_violation,
     verify_theorem1,
     verify_theorem1_prime,
 )
@@ -83,10 +83,10 @@ def _blind_effect(dim: int, psi1, psi2, seed, broken: bool = False) -> Effect:
     return Effect(q @ b @ q.conj().T)
 
 
-def _check_theorem1_suite(seed: int, broken: bool, draws: int = 60) -> tuple:
+def _check_theorem1_suite(seed: int, broken: bool) -> tuple:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(draws):
+    for k in range(60):
         dim = 3 + k % 6
         vecs = random_orthonormal(dim, 2, rng)
         a = _blind_effect(dim, vecs[:, 0], vecs[:, 1], rng.integers(2**32), broken)
@@ -94,7 +94,7 @@ def _check_theorem1_suite(seed: int, broken: bool, draws: int = 60) -> tuple:
         if not report.passed:
             return False, f"draw {k} failed: {report.preconditions}"
         worst = max(worst, report.residuals["max_grid_expectation"])
-    return True, f"max grid expectation {worst:.2e} over {draws} draws"
+    return True, f"max grid expectation {worst:.2e} over 60 draws"
 
 
 def _check_theorem1_prime(seed: int) -> tuple:
@@ -109,9 +109,9 @@ def _check_theorem1_prime(seed: int) -> tuple:
     return report.passed, f"max member probability {report.residuals['max_member_prob']:.2e}"
 
 
-def _check_membership(seed: int, cases: int = 12, samples: int = 300) -> tuple:
+def _check_membership(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
-    for k in range(cases):
+    for k in range(12):
         dim = int(rng.integers(2, 7))
         vecs = random_orthonormal(dim, 2, rng)
         w1 = float(rng.uniform())
@@ -123,11 +123,11 @@ def _check_membership(seed: int, cases: int = 12, samples: int = 300) -> tuple:
         else:
             x = random_state(dim, int(rng.integers(2**32)))
         block = is_member(x, spec, tol=1e-9)
-        oracle = oracle_is_member(x, spec, samples=samples,
-                                  seed=int(rng.integers(2**32)))
+        oracle = membership_violation(x, spec, samples=300,
+                                      seed=int(rng.integers(2**32))) <= 1e-9
         if block != oracle:
             return False, f"case {k}: block verdict {block}, oracle verdict {oracle}"
-    return True, f"{cases} cases agree with the sampling oracle"
+    return True, "12 cases agree with the sampling oracle"
 
 
 def _random_model(rng) -> MeasurementModel:
@@ -145,22 +145,22 @@ def _random_model(rng) -> MeasurementModel:
                                 pad_remainder=object_dim > 2)
 
 
-def _check_separability(seed: int, draws: int = 80) -> tuple:
+def _check_separability(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(80):
         model = _random_model(rng)
         x = random_state(model.object_dim, int(rng.integers(2**32)))
         a = random_effect(2, int(rng.integers(2**32)))
         b = random_effect(2, int(rng.integers(2**32)))
         worst = max(worst, verify_separability(model, x, 0, 1, a, b))
-    return worst <= 1e-12, f"max residual {worst:.2e} over {draws} draws"
+    return worst <= 1e-12, f"max residual {worst:.2e} over 80 draws"
 
 
-def _check_realized_effect(seed: int, draws: int = 20) -> tuple:
+def _check_realized_effect(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(20):
         model = _random_model(rng)
         readings = ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
                                for mu in range(model.layout.n_channels)})
@@ -170,7 +170,7 @@ def _check_realized_effect(seed: int, draws: int = 20) -> tuple:
         direct = float(np.trace(_coincidence_effect(model, readings)
                                 @ model.embed(x).matrix).real)
         worst = max(worst, abs(prob(realized, x) - direct))
-    return worst <= 1e-12, f"max route mismatch {worst:.2e} over {draws} draws"
+    return worst <= 1e-12, f"max route mismatch {worst:.2e} over 20 draws"
 
 
 def _mutated_pointer_model() -> tuple:
@@ -240,6 +240,8 @@ def verify_all(seed: int = 0, mutation: str | None = None, stream=None) -> bool:
     `stream` (the current sys.stdout when None)."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValidationError(f"unknown mutation hook {mutation!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
     stream = sys.stdout if stream is None else stream
     checks = []
 
@@ -337,14 +339,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if not 0 <= args.tolerance < np.inf:
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {args.tolerance!r}")
     with open(args.matrix) as fh:
         m = matrix_from_json(json.load(fh))
-    tol = args.tolerance if args.tolerance is not None else 1e-10
     verdicts = {}
     for kind, cls in (("state", State), ("effect", Effect)):
         if args.kind in (kind, "auto"):
             try:
-                cls(m, tol)
+                cls(m, args.tolerance)
                 verdicts[kind] = "valid"
             except ValidationError as exc:
                 verdicts[kind] = f"invalid: {exc}"
@@ -380,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="check a matrix file against the invariants")
     p_validate.add_argument("matrix")
     p_validate.add_argument("--kind", choices=("state", "effect", "auto"), default="auto")
-    p_validate.add_argument("--tolerance", type=float, default=None)
+    p_validate.add_argument("--tolerance", type=float, default=1e-10)
     return parser
 
 

@@ -30,9 +30,7 @@ def discriminates(a: Effect, x1: State, x2: State, tol: float = DEFAULT_TOL) -> 
     return (abs(p1 - 1.0) <= tol and p2 <= tol) or (p1 <= tol and abs(p2 - 1.0) <= tol)
 
 
-def synthesize_discriminator(x1: State, x2: State,
-                             rank_cutoff: float = DEFAULT_RANK_CUTOFF,
-                             tol: float = DEFAULT_TOL) -> Effect:
+def synthesize_discriminator(x1: State, x2: State, tol: float = DEFAULT_TOL) -> Effect:
     """Projector onto the positive eigenspace of X1 - X2.
 
     Deterministic canonical choice; requires orthogonal inputs and answers
@@ -46,8 +44,7 @@ def synthesize_discriminator(x1: State, x2: State,
         raise DiscriminationError(overlap)
     diff = x1.matrix - x2.matrix
     vals, vecs = np.linalg.eigh(diff)
-    cutoff = rank_cutoff * float(np.max(np.abs(vals)))
-    keep = vals > cutoff
+    keep = vals > DEFAULT_RANK_CUTOFF * float(np.max(np.abs(vals)))
     v = vecs[:, keep]
     p = v @ v.conj().T
     return Effect(0.5 * (p + p.conj().T), tol)

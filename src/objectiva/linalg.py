@@ -1,4 +1,4 @@
-"""Dense complex-matrix foundation: states, effects, probabilities, tensor algebra.
+"""Dense complex-matrix foundation: states, effects, probabilities, partial traces.
 
 Everything is double precision and validated eagerly at construction; the
 operations below assume valid inputs and return validated values. All values
@@ -8,7 +8,7 @@ are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class State:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not 0 <= self.tol < inf:  # written so that NaN fails too
             raise ValidationError("tolerance must be nonnegative")
         m = _validated_hermitian(self.matrix, self.tol, "state")
         lo = float(np.min(np.linalg.eigvalsh(m)))
@@ -84,7 +84,7 @@ class Effect:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not 0 <= self.tol < inf:
             raise ValidationError("tolerance must be nonnegative")
         m = _validated_hermitian(self.matrix, self.tol, "effect")
         vals = np.linalg.eigvalsh(m)
@@ -111,14 +111,14 @@ class StateStack:
 
     Every member passes the checks of `State` at construction, batched over
     the stack (one `eigvalsh` call); an error names the first failing member.
-    Indexing gives a member as a `State`.
+    Indexing gives a member as a `State` without checking it again.
     """
 
     matrices: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tol < 0:
+        if not 0 <= self.tol < inf:
             raise ValidationError("tolerance must be nonnegative")
         # no copy: the array stored is the symmetrized one made below
         m = np.asarray(self.matrices, dtype=np.complex128)
@@ -148,12 +148,10 @@ class StateStack:
     def __len__(self) -> int:
         return self.matrices.shape[0]
 
-    def __getitem__(self, k) -> State:
-        return State(self.matrices[k], self.tol)
-
-
-def identity_effect(dim: int, tol: float = DEFAULT_TOL) -> Effect:
-    return Effect(np.eye(dim), tol)
+    def __getitem__(self, k: int) -> State:
+        x = object.__new__(State)  # bypasses the frozen __setattr__ and the checks
+        x.__dict__.update(matrix=self.matrices[int(k)], tol=self.tol)
+        return x
 
 
 def stack_states(states, dim: int) -> tuple:
@@ -208,16 +206,11 @@ def complement(a: Effect) -> Effect:
     return Effect(np.eye(a.dim) - a.matrix, a.tol)
 
 
-def support_projector(x: State, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Effect:
-    """Orthogonal projector onto the range of x.
-
-    Eigenvalues above rank_cutoff times the largest eigenvalue count as
-    support; the cutoff is relative.
-    """
-    if rank_cutoff <= 0:
-        raise ValueError("rank_cutoff must be positive")
+def support_projector(x: State) -> Effect:
+    """Orthogonal projector onto the range of x: the eigenvectors whose
+    eigenvalues exceed DEFAULT_RANK_CUTOFF times the largest one."""
     vals, vecs = np.linalg.eigh(x.matrix)
-    keep = vals > rank_cutoff * float(vals[-1])
+    keep = vals > DEFAULT_RANK_CUTOFF * float(vals[-1])
     if not np.any(keep):
         raise ValidationError("all eigenvalues below the rank cutoff; corrupted state")
     v = vecs[:, keep]
@@ -225,13 +218,9 @@ def support_projector(x: State, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Eff
     return Effect(0.5 * (p + p.conj().T), x.tol)
 
 
-def kernel_projector(x: State, rank_cutoff: float = DEFAULT_RANK_CUTOFF) -> Effect:
+def kernel_projector(x: State) -> Effect:
     """Orthogonal projector onto the null space of x (complement of support)."""
-    return complement(support_projector(x, rank_cutoff))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+    return complement(support_projector(x))
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:

@@ -149,11 +149,9 @@ def _finalize(report: dict, config: ScenarioConfig) -> dict:
     return report
 
 
-def _two_arm_spec(config: ScenarioConfig, dim: int = 2,
-                  idx1: int = 0, idx2: int = 1) -> SuperpositionSpec:
-    return SuperpositionSpec(
-        pure_state(basis_vector(dim, idx1)), pure_state(basis_vector(dim, idx2)),
-        config.w1, config.w2, config.tol)
+def _two_arm_spec(config: ScenarioConfig) -> SuperpositionSpec:
+    return SuperpositionSpec(pure_state(basis_vector(2, 0)), pure_state(basis_vector(2, 1)),
+                             config.w1, config.w2, config.tol)
 
 
 def _grid_members(spec: SuperpositionSpec, config: ScenarioConfig):

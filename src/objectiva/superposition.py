@@ -24,7 +24,6 @@ from .linalg import (
     kernel_projector,
     prob,
     prob_batch,
-    pure_state,
 )
 
 DEFAULT_COHERENCE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -83,22 +82,6 @@ class SuperpositionSpec:
         return State(self.w1 * self.x1.matrix + self.w2 * self.x2.matrix, self.tol)
 
 
-def make_pure_superposition(phi1, phi2, c1: complex, c2: complex,
-                            tol: float = DEFAULT_TOL) -> State:
-    """Rank-one state built from c1*phi1 + c2*phi2 for orthonormal phi1, phi2."""
-    v1 = np.asarray(phi1, dtype=np.complex128).reshape(-1)
-    v2 = np.asarray(phi2, dtype=np.complex128).reshape(-1)
-    if v1.shape != v2.shape:
-        raise DimensionMismatch("component vectors have different dimensions")
-    overlap = abs(np.vdot(v1, v2))
-    if overlap > tol:
-        raise ValidationError(f"component vectors are not orthogonal: |<1|2>| = {overlap:.3e}")
-    weight = abs(c1) ** 2 + abs(c2) ** 2
-    if abs(weight - 1.0) > tol:
-        raise ValidationError(f"|c1|^2 + |c2|^2 = {weight!r}, expected 1")
-    return pure_state(c1 * v1 + c2 * v2, tol)
-
-
 def superposition_members(spec: SuperpositionSpec, coherences, phases) -> StateStack:
     """The coherence x phase grid of members (coherence outer, phase inner) as
     one validated stack: the incoherent mixture plus a scaled cross block
@@ -153,13 +136,9 @@ def is_member(x: State, spec: SuperpositionSpec, tol: float | None = None) -> bo
     return bool(is_member_batch(x.matrix[None], spec, tol)[0])
 
 
-def is_sensitive_to_interference(a, spec: SuperpositionSpec,
-                                 coherence_grid=DEFAULT_COHERENCE_GRID,
-                                 phase_grid=DEFAULT_PHASE_GRID,
-                                 tol: float | None = None) -> bool:
-    """True iff the effect's probability varies across the member family."""
-    tol = spec.tol if tol is None else tol
+def is_sensitive_to_interference(a, spec: SuperpositionSpec) -> bool:
+    """True iff the effect's probability varies across the default member grid."""
     baseline = prob(a, spec.incoherent_mixture())
-    members = superposition_members(spec, coherence_grid, phase_grid)
+    members = superposition_members(spec, DEFAULT_COHERENCE_GRID, DEFAULT_PHASE_GRID)
     probs = prob_batch(a, members.matrices, members.tol)
-    return float(np.max(np.abs(probs - baseline), initial=0.0)) > tol
+    return float(np.max(np.abs(probs - baseline), initial=0.0)) > spec.tol

@@ -57,10 +57,7 @@ class Report:
         }
 
 
-def verify_theorem1(a: Effect, psi1, psi2,
-                    weight_grid=DEFAULT_WEIGHT_GRID,
-                    phase_grid=DEFAULT_PHASE_GRID,
-                    tol: float = DEFAULT_TOL) -> Report:
+def verify_theorem1(a: Effect, psi1, psi2, tol: float = DEFAULT_TOL) -> Report:
     """A positive operator vanishing on two vectors vanishes on every
     superposition of them.
 
@@ -89,7 +86,7 @@ def verify_theorem1(a: Effect, psi1, psi2,
                       {"kernel_witness": witness})
 
     worst = 0.0
-    for w1, ph in product(weight_grid, phase_grid):
+    for w1, ph in product(DEFAULT_WEIGHT_GRID, DEFAULT_PHASE_GRID):
         psi = np.sqrt(w1) * v1 + np.sqrt(1.0 - w1) * np.exp(1j * ph) * v2
         worst = max(worst, float(np.vdot(psi, a.matrix @ psi).real))
     return Report("theorem1", worst <= tol, preconditions,
@@ -257,8 +254,3 @@ def membership_violation(x: State, spec: SuperpositionSpec,
         return float(np.max(np.abs(lhs - rhs)))
 
     return max(side(q1, spec.x2, spec.w2), side(q2, spec.x1, spec.w1))
-
-
-def oracle_is_member(x: State, spec: SuperpositionSpec, samples: int = 1000,
-                     seed=0, tol: float = 1e-9) -> bool:
-    return membership_violation(x, spec, samples, seed) <= tol

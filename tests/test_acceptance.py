@@ -74,8 +74,7 @@ def test_criterion_1_theorem1_random_suite():
             - np.outer(vecs[:, 1], vecs[:, 1].conj())
         b = random_effect(dim, int(rng.integers(2**32))).matrix
         a = Effect(q @ b @ q.conj().T)
-        report = verify_theorem1(a, vecs[:, 0], vecs[:, 1],
-                                 weight_grid=WEIGHT_GRID, phase_grid=PHASES)
+        report = verify_theorem1(a, vecs[:, 0], vecs[:, 1])
         if not report.passed:
             worst = np.inf
             break

@@ -26,7 +26,7 @@ from objectiva import (
     is_member,
     joint_outcome_distribution,
     m_eval,
-    oracle_is_member,
+    membership_violation,
     prob,
     pure_state,
     random_effect,
@@ -226,8 +226,8 @@ class TestBatchedMembership:
             assert list(mask[:2]) == [True, True]
             for x, verdict in zip(candidates, mask):
                 assert verdict == is_member(x, spec, tol=1e-9)
-                assert verdict == oracle_is_member(x, spec, samples=300,
-                                                   seed=int(rng.integers(2**32)))
+                assert verdict == (membership_violation(x, spec, samples=300,
+                                                        seed=int(rng.integers(2**32))) <= 1e-9)
 
     def test_kernel_projectors_computed_once_per_spec(self, rng, monkeypatch):
         x1, x2 = orthogonal_pure_pair(3, rng)
@@ -337,9 +337,9 @@ class TestMemberStack:
         with pytest.raises(ValidationError, match=message):
             superposition_family(spec, bad)
 
-    def test_one_eigvalsh_per_grid(self, rng, monkeypatch):
-        spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.3, 0.7)
-        spec.branch_vectors  # decided once per spec, before counting
+    @staticmethod
+    def count_eigvalsh(monkeypatch) -> list:
+        """The shapes of the matrices passed to `np.linalg.eigvalsh` from now on."""
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -348,9 +348,26 @@ class TestMemberStack:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return calls
+
+    def test_one_eigvalsh_per_grid(self, rng, monkeypatch):
+        spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.3, 0.7)
+        spec.branch_vectors  # decided once per spec, before counting
+        calls = self.count_eigvalsh(monkeypatch)
         stack = superposition_members(spec, np.linspace(0, 1, 7), np.linspace(0, 6, 9))
         assert calls == [(63, 3, 3)]
         assert stack_states(stack, 3)[0] is stack.matrices
+
+    def test_one_eigvalsh_per_family_member(self, rng, monkeypatch):
+        spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.3, 0.7)
+        spec.branch_vectors  # decided once per spec, before counting
+        calls = self.count_eigvalsh(monkeypatch)
+        x = superposition_family(spec, 0.6, 1.1)
+        assert calls == [(1, 3, 3)]
+        assert isinstance(x, State) and x.tol == spec.tol and not x.matrix.flags.writeable
+        assert np.array_equal(x.matrix, superposition_members(spec, (0.6,), (1.1,)).matrices[0])
+        # the unchecked member is what the checks of `State` would store
+        assert np.array_equal(State(x.matrix, x.tol).matrix, x.matrix)
 
     @staticmethod
     def corrupted(k, member):

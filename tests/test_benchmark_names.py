@@ -1,0 +1,56 @@
+"""The names the benchmark in `perfbench/` reaches in objectiva must resolve,
+so that a deletion that would break the benchmark fails here first.
+
+`perfbench/tracer.py` is loaded from its file, unchanged; `workloads.py` is
+parsed for the `module.name` references it makes."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from objectiva import basis_vector, cli, measurement, pure_state, scenarios, theorems
+from objectiva.superposition import SuperpositionSpec, superposition_family
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def objectiva_modules(tracer) -> dict:
+    return {m.__name__.rsplit(".", 1)[-1]: m for m in tracer.objectiva_modules()}
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    modules = objectiva_modules(tracer)
+    missing = [f"{layer}.{name}" for layer, names in tracer.TRACED.items()
+               for name in names if not hasattr(modules[layer], name)]
+    assert missing == []
+
+
+def test_every_name_the_workloads_use_resolves():
+    modules = objectiva_modules(load_tracer())
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("cli", "MUTATIONS") in used
+    assert sorted(f"{m}.{a}" for m, a in used if not hasattr(modules[m], a)) == []
+
+
+def test_fault_seams_resolve():
+    # the benchmark's --fault runs rebind these module attributes
+    assert callable(scenarios.complement) and callable(theorems.complement)
+    assert callable(measurement.joint_outcome_distribution)
+    assert isinstance(cli.MUTATIONS, tuple) and len(cli.MUTATIONS) == 3
+    spec = SuperpositionSpec(pure_state(basis_vector(2, 0)), pure_state(basis_vector(2, 1)),
+                             0.5, 0.5)
+    # channel_sweep builds its members one at a time, by position
+    assert abs(superposition_family(spec, 1.0, np.pi / 2).purity() - 1.0) < 1e-12

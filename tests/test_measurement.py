@@ -14,7 +14,6 @@ from objectiva import (
     complement,
     discriminates,
     discriminating_reading,
-    identity_effect,
     joint_outcome_distribution,
     m_eval,
     prob,
@@ -100,7 +99,7 @@ class TestMEval:
         assert m_eval(ghz_model(), ReadingSet({}), random_state(2, 0)) == 1.0
 
     def test_identity_readings_are_certain(self):
-        readings = ReadingSet({0: identity_effect(2), 1: identity_effect(2)})
+        readings = ReadingSet({0: Effect(np.eye(2)), 1: Effect(np.eye(2))})
         assert m_eval(ghz_model(), readings, random_state(2, 1)) \
             == pytest.approx(1.0, abs=1e-12)
 
@@ -132,7 +131,7 @@ class TestMEval:
     def test_reading_dim_mismatch(self):
         from objectiva import DimensionMismatch
         with pytest.raises(DimensionMismatch):
-            m_eval(ghz_model(), ReadingSet({0: identity_effect(3)}), random_state(2, 0))
+            m_eval(ghz_model(), ReadingSet({0: Effect(np.eye(3))}), random_state(2, 0))
 
 
 class TestSeparability:
@@ -140,7 +139,7 @@ class TestSeparability:
         model = ghz_model()
         x = random_state(2, 3)
         a = random_effect(2, 4)
-        assert verify_separability(model, x, 0, 1, a, identity_effect(2)) < 1e-15
+        assert verify_separability(model, x, 0, 1, a, Effect(np.eye(2))) < 1e-15
 
     def test_residual_over_random_draws(self, rng):
         worst = 0.0
@@ -165,7 +164,7 @@ class TestSeparability:
     def test_channel_collision_rejected(self):
         with pytest.raises(ValidationError):
             verify_separability(ghz_model(), random_state(2, 0), 1, 1,
-                                identity_effect(2), identity_effect(2))
+                                Effect(np.eye(2)), Effect(np.eye(2)))
 
 
 class TestDiscriminatingReading:
@@ -202,7 +201,7 @@ class TestDiscriminatingReading:
 class TestSampling:
     def test_identity_readings_always_fire(self):
         model = ghz_model()
-        readings = ReadingSet({0: identity_effect(2), 1: identity_effect(2)})
+        readings = ReadingSet({0: Effect(np.eye(2)), 1: Effect(np.eye(2))})
         records = sample_events(model, readings, random_state(2, 0), 100, 1)
         assert all(r["outcomes"] == {0: 1, 1: 1} for r in records)
 

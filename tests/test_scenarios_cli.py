@@ -290,6 +290,21 @@ class TestCli:
         path.write_text(json.dumps(matrix_to_json(2.0 * np.eye(2))))
         assert main(["validate", str(path)]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["validate", "MATRIX", "--tolerance", "nan"], id="validate-nan"),
+        pytest.param(["validate", "MATRIX", "--tolerance", "inf"], id="validate-inf"),
+        pytest.param(["validate", "MATRIX", "--tolerance", "-1"], id="validate-negative"),
+        pytest.param(["verify-all", "--seed", "-1"], id="verify-all-negative-seed"),
+    ])
+    def test_bad_tolerance_or_seed_exits_two_with_one_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix_to_json(np.diag([2.0, 3.0]))))
+        assert main([str(path) if a == "MATRIX" else a for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_all_exit_codes(self):
         assert main(["verify-all"]) == 0
 

@@ -10,8 +10,7 @@ from objectiva import (
     is_member,
     is_orthogonal,
     is_sensitive_to_interference,
-    make_pure_superposition,
-    oracle_is_member,
+    membership_violation,
     prob,
     pure_state,
     random_effect,
@@ -55,36 +54,40 @@ class TestOrthogonality:
 
 
 class TestMakePureSuperposition:
+    """Pure superpositions come from `superposition_family` at coherence 1, or
+    from `pure_state` of c1 v1 + c2 v2."""
+
     def test_trivial_coefficient(self):
-        x = make_pure_superposition(E0, E1, 1.0, 0.0)
+        spec = SuperpositionSpec(pure_state(E0), pure_state(E1), 1.0, 0.0)
+        x = superposition_family(spec, 1.0, 0.0)
         assert np.allclose(x.matrix, pure_state(E0).matrix)
 
     def test_equal_split(self):
-        x = make_pure_superposition(E0, E1, 1 / np.sqrt(2), 1 / np.sqrt(2))
+        x = superposition_family(half_spec(), 1.0, 0.0)
         assert prob(Effect(np.outer(E0, E0)), x) == pytest.approx(0.5)
 
     def test_relative_phase_rotates_cross_block(self):
         theta = 0.7
-        a = make_pure_superposition(E0, E1, 1 / np.sqrt(2), 1 / np.sqrt(2)).matrix
-        b = make_pure_superposition(E0, E1, 1 / np.sqrt(2),
-                                    np.exp(1j * theta) / np.sqrt(2)).matrix
+        a = superposition_family(half_spec(), 1.0, 0.0).matrix
+        b = superposition_family(half_spec(), 1.0, theta).matrix
         assert np.allclose(np.diag(a), np.diag(b))
-        assert b[0, 1] == pytest.approx(a[0, 1] * np.exp(-1j * theta))
+        # the phase is that of the |v1><v2| block
+        assert b[0, 1] == pytest.approx(a[0, 1] * np.exp(1j * theta))
 
     def test_global_phase_invariance_exact(self):
         c = (0.6, 0.8j)
-        a = make_pure_superposition(E0, E1, *c)
+        a = pure_state(c[0] * E0 + c[1] * E1)
         phase = np.exp(1j * 1.234)
-        b = make_pure_superposition(E0, E1, c[0] * phase, c[1] * phase)
+        b = pure_state(c[0] * phase * E0 + c[1] * phase * E1)
         assert np.allclose(a.matrix, b.matrix, atol=1e-15)
 
     def test_rejects_non_orthogonal_components(self):
         with pytest.raises(ValidationError):
-            make_pure_superposition(E0, (E0 + E1) / np.sqrt(2), 0.6, 0.8)
+            SuperpositionSpec(pure_state(E0), pure_state((E0 + E1) / np.sqrt(2)), 0.36, 0.64)
 
     def test_rejects_unnormalized_coefficients(self):
         with pytest.raises(ValidationError):
-            make_pure_superposition(E0, E1, 0.9, 0.9)
+            pure_state(0.9 * E0 + 0.9 * E1)
 
 
 class TestFamily:
@@ -171,8 +174,8 @@ class TestMembership:
             else:
                 x = spec.x1 if k % 4 == 1 else spec.x2
             block = is_member(x, spec, tol=1e-9)
-            oracle = oracle_is_member(x, spec, samples=500,
-                                      seed=int(rng.integers(2**32)))
+            oracle = membership_violation(x, spec, samples=500,
+                                          seed=int(rng.integers(2**32))) <= 1e-9
             assert block == oracle
 
     def test_eq2_restatement_via_compressed_effects(self, rng):
