@@ -22,13 +22,12 @@ import sys
 import numpy as np
 
 from . import scenarios
-from .discrimination import DiscriminationError
 from .linalg import (
-    DimensionMismatch,
     Effect,
     State,
     ValidationError,
     basis_vector,
+    check_tolerance,
     matrix_from_json,
     prob,
     pure_state,
@@ -248,7 +247,7 @@ def verify_all(seed: int = 0, mutation: str | None = None, stream=None) -> bool:
     def guarded(name, fn, *args):
         try:
             ok, detail = fn(*args)
-        except (ValidationError, DiscriminationError) as exc:
+        except ValidationError as exc:
             ok, detail = False, f"error: {exc}"
         checks.append((name, ok, detail))
 
@@ -264,7 +263,7 @@ def verify_all(seed: int = 0, mutation: str | None = None, stream=None) -> bool:
             # the scenario battery reads disagreement with the raw reading
             scenarios.complement = lambda a: a
         checks.extend(_check_scenarios(seed, mutation))
-    except (ValidationError, DiscriminationError) as exc:
+    except ValidationError as exc:
         checks.append(("scenario-battery", False, f"error: {exc}"))
     finally:
         # the binding found on entry, which a tracer may have wrapped
@@ -339,8 +338,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if not 0 <= args.tolerance < np.inf:
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {args.tolerance!r}")
+    check_tolerance(args.tolerance)
     with open(args.matrix) as fh:
         m = matrix_from_json(json.load(fh))
     verdicts = {}
@@ -401,7 +399,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, DimensionMismatch, DiscriminationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

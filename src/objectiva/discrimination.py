@@ -6,16 +6,17 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    DEFAULT_RANK_CUTOFF,
     DEFAULT_TOL,
     DimensionMismatch,
     Effect,
     State,
+    ValidationError,
+    _spectral_projector,
     prob,
 )
 
 
-class DiscriminationError(ValueError):
+class DiscriminationError(ValidationError):
     """Perfect discrimination is impossible; carries the state overlap."""
 
     def __init__(self, overlap: float):
@@ -23,11 +24,10 @@ class DiscriminationError(ValueError):
         self.overlap = overlap
 
 
-def discriminates(a: Effect, x1: State, x2: State, tol: float = DEFAULT_TOL) -> bool:
+def discriminates(a: Effect, x1: State, x2: State) -> bool:
     """True iff the effect answers 1 on one state and 0 on the other."""
-    p1 = prob(a, x1)
-    p2 = prob(a, x2)
-    return (abs(p1 - 1.0) <= tol and p2 <= tol) or (p1 <= tol and abs(p2 - 1.0) <= tol)
+    lo, hi = sorted((prob(a, x1), prob(a, x2)))
+    return lo <= DEFAULT_TOL and abs(hi - 1.0) <= DEFAULT_TOL
 
 
 def synthesize_discriminator(x1: State, x2: State, tol: float = DEFAULT_TOL) -> Effect:
@@ -42,12 +42,7 @@ def synthesize_discriminator(x1: State, x2: State, tol: float = DEFAULT_TOL) -> 
     overlap = float(np.trace(x1.matrix @ x2.matrix).real)
     if overlap > tol:
         raise DiscriminationError(overlap)
-    diff = x1.matrix - x2.matrix
-    vals, vecs = np.linalg.eigh(diff)
-    keep = vals > DEFAULT_RANK_CUTOFF * float(np.max(np.abs(vals)))
-    v = vecs[:, keep]
-    p = v @ v.conj().T
-    return Effect(0.5 * (p + p.conj().T), tol)
+    return _spectral_projector(x1.matrix - x2.matrix, tol)
 
 
 def best_discrimination_error(x1: State, x2: State, prior: float = 0.5) -> float:

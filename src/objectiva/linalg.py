@@ -20,8 +20,14 @@ class ValidationError(ValueError):
     """An operator failed its construction invariants."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(ValidationError):
     """Operands act on spaces of incompatible dimension."""
+
+
+def check_tolerance(tol) -> None:
+    """Reject a tolerance outside [0, inf); written so that NaN fails too."""
+    if not 0 <= tol < inf:
+        raise ValidationError(f"tolerance must be nonnegative and finite, got {tol!r}")
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -56,8 +62,7 @@ class State:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not 0 <= self.tol < inf:  # written so that NaN fails too
-            raise ValidationError("tolerance must be nonnegative")
+        check_tolerance(self.tol)
         m = _validated_hermitian(self.matrix, self.tol, "state")
         lo = float(np.min(np.linalg.eigvalsh(m)))
         if lo < -self.tol:
@@ -84,8 +89,7 @@ class Effect:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not 0 <= self.tol < inf:
-            raise ValidationError("tolerance must be nonnegative")
+        check_tolerance(self.tol)
         m = _validated_hermitian(self.matrix, self.tol, "effect")
         vals = np.linalg.eigvalsh(m)
         if vals[0] < -self.tol or vals[-1] > 1.0 + self.tol:
@@ -118,8 +122,7 @@ class StateStack:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if not 0 <= self.tol < inf:
-            raise ValidationError("tolerance must be nonnegative")
+        check_tolerance(self.tol)
         # no copy: the array stored is the symmetrized one made below
         m = np.asarray(self.matrices, dtype=np.complex128)
         if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] == 0:
@@ -183,8 +186,7 @@ def prob_batch(a: Effect, matrices: np.ndarray, tols) -> np.ndarray:
     p = t.real
     tol = a.tol + np.asarray(tols, dtype=float)
     bad = (np.abs(t.imag) > tol) | (p < -tol) | (p > 1.0 + tol)
-    if bad.any():
-        k = int(np.argmax(bad))
+    if (k := _first(bad)) is not None:
         if abs(t.imag[k]) > np.broadcast_to(tol, t.shape)[k]:
             raise ValidationError(
                 f"probability trace of state {k} has imaginary residue {t.imag[k]:.3e}")
@@ -206,16 +208,20 @@ def complement(a: Effect) -> Effect:
     return Effect(np.eye(a.dim) - a.matrix, a.tol)
 
 
+def _spectral_projector(h: np.ndarray, tol: float) -> Effect:
+    """Projector onto the eigenvectors of the Hermitian h whose eigenvalues
+    exceed DEFAULT_RANK_CUTOFF times its largest eigenvalue magnitude."""
+    vals, vecs = np.linalg.eigh(h)
+    v = vecs[:, vals > DEFAULT_RANK_CUTOFF * float(np.max(np.abs(vals)))]
+    p = v @ v.conj().T
+    # symmetrized: at tolerance 0 a raw v v^dag can fail the Hermitian check
+    return Effect(0.5 * (p + p.conj().T), tol)
+
+
 def support_projector(x: State) -> Effect:
     """Orthogonal projector onto the range of x: the eigenvectors whose
     eigenvalues exceed DEFAULT_RANK_CUTOFF times the largest one."""
-    vals, vecs = np.linalg.eigh(x.matrix)
-    keep = vals > DEFAULT_RANK_CUTOFF * float(vals[-1])
-    if not np.any(keep):
-        raise ValidationError("all eigenvalues below the rank cutoff; corrupted state")
-    v = vecs[:, keep]
-    p = v @ v.conj().T
-    return Effect(0.5 * (p + p.conj().T), x.tol)
+    return _spectral_projector(x.matrix, x.tol)
 
 
 def kernel_projector(x: State) -> Effect:
@@ -264,13 +270,13 @@ def random_effect(dim: int, seed) -> Effect:
     return Effect(vecs @ np.diag(scaled) @ vecs.conj().T)
 
 
-def pure_state(vector, tol: float = DEFAULT_TOL) -> State:
+def pure_state(vector) -> State:
     """Rank-one density matrix |v><v| for a unit vector v."""
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > DEFAULT_TOL:
         raise ValidationError(f"vector norm is {norm!r}, expected 1")
-    return State(np.outer(v, v.conj()), tol)
+    return State(np.outer(v, v.conj()))
 
 
 def basis_vector(dim: int, index: int) -> np.ndarray:
@@ -283,7 +289,7 @@ def random_orthonormal(dim: int, count: int, seed) -> np.ndarray:
     """`count` orthonormal columns of a Haar-random unitary."""
     if count > dim:
         raise DimensionMismatch(f"cannot fit {count} orthonormal vectors in dim {dim}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))

@@ -26,6 +26,7 @@ from .linalg import (
     Effect,
     State,
     ValidationError,
+    check_tolerance,
     complement,
     hermiticity_residual,
     prob_batch,
@@ -71,6 +72,7 @@ class MeasurementModel:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        check_tolerance(self.tol)
         if len(self.pointers) != self.layout.n_channels:
             raise ValidationError("one pointer pair per channel is required")
         pointers = tuple(tuple(np.array(p, dtype=np.complex128).reshape(-1) for p in pair)
@@ -152,6 +154,7 @@ def build_premeasurement(x1: State, x2: State, layout: ChannelLayout,
     isometry, but the channel could not discriminate. A deliberately
     deficient model is built as a `MeasurementModel` directly.
     """
+    check_tolerance(tol)
     if not is_orthogonal(x1, x2, tol):
         raise ValidationError("branch states must be orthogonal")
     b1 = support_projector(x1).matrix

@@ -26,6 +26,7 @@ from .linalg import (
     State,
     ValidationError,
     basis_vector,
+    check_tolerance,
     complement,
     matrix_from_json,
     prob_batch,
@@ -78,8 +79,7 @@ class ScenarioConfig:
     def __post_init__(self):
         # tolerance first: the weight-sum check below depends on it
         _require_number("tolerance", self.tol)
-        if self.tol < 0:
-            raise ValidationError(f"tolerance must be nonnegative, got {self.tol!r}")
+        check_tolerance(self.tol)
         if self.scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {self.scenario!r}")
         for name in ("w1", "w2", "detector_noise"):

@@ -21,6 +21,7 @@ from .linalg import (
     StateStack,
     ValidationError,
     _first,
+    check_tolerance,
     kernel_projector,
     prob,
     prob_batch,
@@ -50,6 +51,7 @@ class SuperpositionSpec:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        check_tolerance(self.tol)
         if self.x1.dim != self.x2.dim:
             raise DimensionMismatch(f"branch dims differ: {self.x1.dim} vs {self.x2.dim}")
         if not (-self.tol <= self.w1 <= 1 + self.tol and -self.tol <= self.w2 <= 1 + self.tol):
@@ -123,6 +125,7 @@ def is_member_batch(matrices: np.ndarray, spec: SuperpositionSpec,
     if matrices.shape[1:] != (spec.dim, spec.dim):
         raise DimensionMismatch(f"candidate dim {matrices.shape[-1]} != spec dim {spec.dim}")
     tol = spec.tol if tol is None else tol
+    check_tolerance(tol)
     q1, q2 = spec.kernel_projectors
     r1 = np.max(np.abs(q1 @ matrices @ q1 - spec.w2 * spec.x2.matrix), axis=(1, 2))
     r2 = np.max(np.abs(q2 @ matrices @ q2 - spec.w1 * spec.x1.matrix), axis=(1, 2))

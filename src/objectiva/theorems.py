@@ -9,7 +9,7 @@ for machine checking and JSON emission.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .linalg import (
     Effect,
     State,
     ValidationError,
+    _first,
     complement,
     prob,
     prob_batch,
@@ -95,9 +96,8 @@ def verify_theorem1(a: Effect, psi1, psi2, tol: float = DEFAULT_TOL) -> Report:
 
 
 def _require_members(spec: SuperpositionSpec, matrices: np.ndarray, tol: float):
-    outside = np.flatnonzero(~is_member_batch(matrices, spec, tol=max(tol, spec.tol)))
-    if outside.size:
-        raise ValidationError(f"member {outside[0]} fails the superposition-set test")
+    if (k := _first(~is_member_batch(matrices, spec, tol=max(tol, spec.tol)))) is not None:
+        raise ValidationError(f"member {k} fails the superposition-set test")
 
 
 def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
@@ -159,26 +159,20 @@ def inclusion_exclusion_batch(model: MeasurementModel, readings: ReadingSet,
 
     Independent of the complement operator: the probability of a pattern is
     the alternating-sign sum of coincidence values over supersets of its
-    firing channels. Each pattern maps to an array with one value per state.
+    firing channels, summed one channel axis at a time (a channel that does
+    not fire is unread minus read). Each pattern maps to an array with one
+    value per state.
     Used as the oracle against the direct product-effect table.
     """
     channels = readings.channels
-    coincidence = {}
-    for r in range(len(channels) + 1):
-        for subset in combinations(channels, r):
-            picked = ReadingSet({c: readings.entries[c] for c in subset})
-            coincidence[subset] = m_eval_batch(model, picked, matrices, tols)
-    dist = {}
-    for bits in product((1, 0), repeat=len(channels)):
-        ones = tuple(c for c, b in zip(channels, bits) if b)
-        zeros = [c for c, b in zip(channels, bits) if not b]
-        p = 0.0
-        for r in range(len(zeros) + 1):
-            for extra in combinations(zeros, r):
-                key = tuple(sorted(chain(ones, extra)))
-                p += (-1) ** r * coincidence[key]
-        dist[bits] = p
-    return dist
+    table = np.empty((2,) * len(channels) + (len(matrices),))
+    for read in product((0, 1), repeat=len(channels)):
+        picked = ReadingSet({c: readings.entries[c] for c, r in zip(channels, read) if r})
+        table[read] = m_eval_batch(model, picked, matrices, tols)
+    for axis in range(len(channels)):
+        unread, fired = np.moveaxis(table, axis, 0)
+        unread -= fired
+    return {bits: table[bits] for bits in product((1, 0), repeat=len(channels))}
 
 
 def inclusion_exclusion_distribution(model: MeasurementModel,

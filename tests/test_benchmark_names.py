@@ -11,7 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from objectiva import basis_vector, cli, measurement, pure_state, scenarios, theorems
-from objectiva.superposition import SuperpositionSpec, superposition_family
+from objectiva.measurement import ReadingSet, draw_patterns
+from objectiva.scenarios import ScenarioConfig, fig1c_setup, run_stern_gerlach
+from objectiva.superposition import (SuperpositionSpec, superposition_family,
+                                     superposition_members)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +57,32 @@ def test_fault_seams_resolve():
                              0.5, 0.5)
     # channel_sweep builds its members one at a time, by position
     assert abs(superposition_family(spec, 1.0, np.pi / 2).purity() - 1.0) < 1e-12
+
+
+# A seam that resolves but that the run no longer reads would leave the
+# benchmark's --fault runs without a defect to catch.
+
+def test_scenarios_complement_seam_fails_the_noise_zero_battery(monkeypatch):
+    monkeypatch.setattr(scenarios, "complement", lambda a: a)
+    report = run_stern_gerlach(ScenarioConfig("stern_gerlach"))
+    assert not report["pass"]
+    assert report["theorem2"]["pass"]  # theorem 2 reads `theorems.complement`
+    assert report["residuals"]["max_disagreement"] == 1.0
+
+
+def test_theorems_complement_seam_fails_theorem2(monkeypatch):
+    model, readings, x1, x2 = fig1c_setup()
+    spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
+    members = superposition_members(spec, (0.0, 1.0), (0.0,))
+    args = (model, 0, 1, readings[0], readings[1], spec, members)
+    assert theorems.verify_theorem2(*args).passed
+    monkeypatch.setattr(theorems, "complement", lambda a: a)
+    assert not theorems.verify_theorem2(*args).passed
+
+
+def test_joint_table_seam_is_the_table_draw_patterns_draws_from(monkeypatch):
+    model, readings, x1, _ = fig1c_setup()
+    leaky = {(1, 1): 0.0, (1, 0): 1.0, (0, 1): 0.0, (0, 0): 0.0}
+    monkeypatch.setattr(measurement, "joint_outcome_distribution", lambda *args: dict(leaky))
+    patterns, draws = draw_patterns(model, ReadingSet(readings), x1, 50, 0)
+    assert [patterns[k] for k in draws] == [(1, 0)] * 50

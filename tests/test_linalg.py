@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from objectiva import (
+    DEFAULT_RANK_CUTOFF,
     DimensionMismatch,
     Effect,
     State,
@@ -22,7 +23,10 @@ from objectiva import (
     random_effect,
     random_state,
     support_projector,
+    synthesize_discriminator,
 )
+
+from helpers import orthogonal_mixed_pair
 
 PLUS = pure_state(np.array([1, 1]) / np.sqrt(2))
 
@@ -148,6 +152,36 @@ class TestSupportKernel:
             assert np.max(np.abs(q @ q - q)) < 1e-10
             assert np.allclose(p + q, np.eye(x.dim))
             assert np.trace(p @ x.matrix).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_projectors_match_the_former_formulas_bit_for_bit(self, rng):
+        # support_projector cut on the top eigenvalue, synthesize_discriminator
+        # on the largest magnitude; both now share one helper
+        def former(h, top):
+            vals, vecs = np.linalg.eigh(h)
+            v = vecs[:, vals > DEFAULT_RANK_CUTOFF * top(vals)]
+            p = v @ v.conj().T
+            return 0.5 * (p + p.conj().T)
+
+        def last(vals):
+            return float(vals[-1])
+
+        def largest(vals):
+            return float(np.max(np.abs(vals)))
+
+        for k in range(300):
+            dim = 2 + k % 7
+            x1, x2 = orthogonal_mixed_pair(dim, rng)
+            for x in (x1, x2, random_state(dim, int(rng.integers(2**32)))):
+                assert np.array_equal(support_projector(x).matrix, former(x.matrix, last))
+            assert np.array_equal(synthesize_discriminator(x1, x2).matrix,
+                                  former(x1.matrix - x2.matrix, largest))
+        # an eigenvalue of X1 - X2 between the two cutoffs: the rules differ
+        x1 = State(np.diag([0.2] * 4 + [0.2 - 5e-11, 5e-11, 0.0]))
+        x2 = pure_state(basis_vector(7, 6))
+        diff = x1.matrix - x2.matrix
+        assert not np.array_equal(former(diff, last), former(diff, largest))
+        assert np.array_equal(synthesize_discriminator(x1, x2).matrix, former(diff, largest))
+        assert np.array_equal(support_projector(x1).matrix, former(x1.matrix, last))
 
 
 class TestTensorAndPartialTrace:

@@ -77,6 +77,19 @@ class TestLayoutAndModel:
             build_premeasurement(pure_state(E0), pure_state(E1),
                                  ChannelLayout((2, 2)), [(E0, skew), (E0, E1)])
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_model_and_builder_reject_a_non_finite_tolerance(self, tol):
+        layout = ChannelLayout((2, 2))
+        # a valid model, and one whose branches (I, I) are not orthogonal and
+        # whose pointer 2 E0 is not a unit vector
+        for pointers, branches in (([(E0, E1)] * 2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+                                   ([(2 * E0, E1)] * 2, (np.eye(2), np.eye(2)))):
+            with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+                MeasurementModel(layout, pointers, branches, tol)
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            build_premeasurement(pure_state(E0), pure_state(E1), layout, [(E0, E1)] * 2,
+                                 tol=tol)
+
     def test_support_deficiency_needs_padding(self):
         x1 = pure_state(basis_vector(3, 0))
         x2 = pure_state(basis_vector(3, 1))

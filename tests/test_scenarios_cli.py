@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from objectiva import (Effect, ValidationError, basis_vector, cli, matrix_to_json,
-                       random_state, scenarios)
+from objectiva import (DimensionMismatch, DiscriminationError, Effect, ValidationError,
+                       basis_vector, cli, matrix_to_json, random_state, scenarios)
 from objectiva.cli import main, verify_all
 from objectiva.measurement import ReadingSet, sample_events
 from objectiva.scenarios import (
@@ -350,6 +350,22 @@ class TestCli:
         lines = buf.getvalue().splitlines()
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
         assert any("theorem1-random-suite" in line for line in lines)
+
+    def test_bad_input_errors_are_validation_errors(self):
+        assert issubclass(DimensionMismatch, ValidationError)
+        assert issubclass(DiscriminationError, ValidationError)
+
+    def test_a_check_raising_dimension_mismatch_is_a_fail_line(self, monkeypatch, capsys):
+        def mismatched(seed):
+            raise DimensionMismatch("state dim 3 != object dim 2")
+
+        monkeypatch.setattr(cli, "_check_separability", mismatched)
+        buf = io.StringIO()
+        assert not verify_all(0, stream=buf)
+        assert ("FAIL  separability-residual  (error: state dim 3 != object dim 2)"
+                in buf.getvalue().splitlines())
+        assert main(["verify-all"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL  verify-all"
 
     def test_verify_all_follows_redirected_stdout(self):
         buf = io.StringIO()

@@ -48,6 +48,16 @@ class TestOrthogonality:
         with pytest.raises(ValidationError, match="orthogonal"):
             SuperpositionSpec(pure_state(E0), pure_state((E0 + E1) / np.sqrt(2)), 0.5, 0.5)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_spec_and_block_test_reject_a_non_finite_tolerance(self, tol):
+        tilted = pure_state(np.array([1.0, 1.0]) / np.sqrt(2))  # overlap 0.5 with |0>
+        for x2 in (pure_state(E1), tilted):
+            with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+                SuperpositionSpec(pure_state(E0), x2, 0.5, 0.5, tol)
+        spec = half_spec()
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            is_member(spec.incoherent_mixture(), spec, tol=tol)
+
     def test_spec_rejects_bad_weights(self):
         with pytest.raises(ValidationError, match="weights"):
             SuperpositionSpec(pure_state(E0), pure_state(E1), 0.7, 0.7)

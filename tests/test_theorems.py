@@ -1,24 +1,31 @@
 import json
+from itertools import chain, combinations, product
 
 import numpy as np
 import pytest
 
 from objectiva import (
+    ChannelLayout,
     Effect,
     ReadingSet,
     SuperpositionSpec,
     ValidationError,
     basis_vector,
+    build_premeasurement,
     complement,
     counterexample_search,
     degrade_reading,
+    inclusion_exclusion_batch,
     inclusion_exclusion_distribution,
     joint_outcome_distribution,
+    m_eval_batch,
     membership_violation,
     prob,
     pure_state,
     random_effect,
     random_orthonormal,
+    random_state,
+    stack_states,
     superposition_family,
     verify_theorem1,
     verify_theorem1_prime,
@@ -160,6 +167,49 @@ class TestInclusionExclusionOracle:
         oracle = inclusion_exclusion_distribution(model, noisy, x)
         for pattern in direct:
             assert direct[pattern] == pytest.approx(oracle[pattern], abs=1e-12)
+
+    @staticmethod
+    def superset_sums(model, readings, matrices, tols):
+        """The former construction: each pattern as the alternating-sign sum
+        over every superset of its firing channels."""
+        channels = readings.channels
+        coincidence = {}
+        for r in range(len(channels) + 1):
+            for subset in combinations(channels, r):
+                picked = ReadingSet({c: readings.entries[c] for c in subset})
+                coincidence[subset] = m_eval_batch(model, picked, matrices, tols)
+        dist = {}
+        for bits in product((1, 0), repeat=len(channels)):
+            ones = tuple(c for c, b in zip(channels, bits) if b)
+            zeros = [c for c, b in zip(channels, bits) if not b]
+            p = 0.0
+            for r in range(len(zeros) + 1):
+                for extra in combinations(zeros, r):
+                    p += (-1) ** r * coincidence[tuple(sorted(chain(ones, extra)))]
+            dist[bits] = p
+        return dist
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_the_superset_enumeration(self, rng, n):
+        x1, x2 = orthogonal_pure_pair(3, rng)
+        pointers = []
+        for _ in range(n):
+            q = random_orthonormal(2, 2, rng)
+            pointers.append((q[:, 0], q[:, 1]))
+        model = build_premeasurement(x1, x2, ChannelLayout((2,) * n), pointers,
+                                     pad_remainder=True)
+        readings = ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
+                               for mu in range(n)})
+        matrices, tols = stack_states([random_state(3, int(rng.integers(2**32)))
+                                       for _ in range(4)], 3)
+        table = inclusion_exclusion_batch(model, readings, matrices, tols)
+        former = self.superset_sums(model, readings, matrices, tols)
+        assert list(table) == list(former)
+        for bits in former:
+            assert np.max(np.abs(table[bits] - former[bits])) <= 1e-14
+        if n == 2:  # the entries counterexample_search reads
+            for bits in ((1, 1), (1, 0), (0, 1)):
+                assert np.array_equal(table[bits], former[bits])
 
 
 class TestCounterexampleSearch:
