@@ -15,6 +15,7 @@ Mutation hooks (for `verify-all --mutate`, each must flip the exit code):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -41,8 +42,8 @@ from .measurement import (
     ReadingSet,
     _coincidence_effect,
     build_premeasurement,
+    draw_patterns,
     realized_effect,
-    sample_events,
     verify_separability,
 )
 from .scenarios import (
@@ -70,6 +71,8 @@ from .theorems import (
 )
 
 MUTATIONS = ("broken-psd-projection", "non-orthogonal-pointers", "skipped-complement")
+# trials per text chunk that `sample` writes
+CHUNK = 1 << 16
 
 
 def _blind_effect(dim: int, psi1, psi2, seed, broken: bool = False) -> Effect:
@@ -292,12 +295,11 @@ def _load_config(path: str, args) -> ScenarioConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, out: str | None):
+    """Write an iterable of text chunks to the file `out`, or to stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _report_text(report: dict) -> str:
@@ -312,9 +314,9 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config, args)
     report = run_scenario(config)
     if args.format == "json":
-        _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+        _emit([json.dumps(report, sort_keys=True, indent=2) + "\n"], args.out)
     else:
-        _emit(_report_text(report), args.out)
+        _emit([_report_text(report)], args.out)
     return 0 if report["pass"] else 1
 
 
@@ -330,11 +332,22 @@ def _cmd_sample(args) -> int:
     spec = SuperpositionSpec(x1, x2, config.w1, config.w2, config.tol)
     member = superposition_family(spec, config.coherence_grid[-1],
                                   config.phase_grid[0])
-    records = sample_events(model, ReadingSet(readings), member,
-                            config.trials, config.seed)
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _emit(text, args.out)
+    readings = ReadingSet(readings)
+    # draw before `--out` is opened, so a failing draw leaves the file alone
+    patterns, draws = draw_patterns(model, readings, member, config.trials, config.seed)
+    _emit(_event_lines(readings.channels, patterns, draws), args.out)
     return 0
+
+
+def _event_lines(channels, patterns, draws):
+    """The records of `measurement.sample_events` as JSON lines with sorted
+    keys, CHUNK trials per string. "outcomes" sorts before "trial", so each
+    line is its pattern's prefix followed by the trial number."""
+    prefixes = [json.dumps({"trial": 0, "outcomes": dict(zip(channels, bits))},
+                           sort_keys=True)[:-2] for bits in patterns]
+    for start in range(0, len(draws), CHUNK):
+        yield "".join([prefixes[k] + str(t) + "}\n"
+                       for t, k in enumerate(draws[start:start + CHUNK].tolist(), start)])
 
 
 def _cmd_validate(args) -> int:

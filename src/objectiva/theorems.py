@@ -19,6 +19,7 @@ from .linalg import (
     State,
     ValidationError,
     _first,
+    check_tolerance,
     complement,
     prob,
     prob_batch,
@@ -66,6 +67,7 @@ def verify_theorem1(a: Effect, psi1, psi2, tol: float = DEFAULT_TOL) -> Report:
     witness |A psi1| + |A psi2| certifies that zero expectation on a PSD
     operator forces the vectors into its kernel.
     """
+    check_tolerance(tol)
     v1 = np.asarray(psi1, dtype=np.complex128).reshape(-1)
     v2 = np.asarray(psi2, dtype=np.complex128).reshape(-1)
     if abs(np.linalg.norm(v1) - 1) > tol or abs(np.linalg.norm(v2) - 1) > tol:
@@ -203,6 +205,7 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     the degraded both-fire deviation from the first branch weight is reported
     alongside.
     """
+    check_tolerance(tol)
     b_mu = degrade_reading(a_mu, noise)
     b_nu = degrade_reading(a_nu, noise)
     matrices, tols = stack_states(members, model.object_dim)

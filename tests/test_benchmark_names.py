@@ -6,6 +6,7 @@ parsed for the `module.name` references it makes."""
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +87,14 @@ def test_joint_table_seam_is_the_table_draw_patterns_draws_from(monkeypatch):
     monkeypatch.setattr(measurement, "joint_outcome_distribution", lambda *args: dict(leaky))
     patterns, draws = draw_patterns(model, ReadingSet(readings), x1, 50, 0)
     assert [patterns[k] for k in draws] == [(1, 0)] * 50
+
+
+def test_joint_table_seam_reaches_the_sample_command(monkeypatch, tmp_path, capsys):
+    # sample_stream --fault leaks table mass into a disagreeing pattern
+    leaky = {(1, 1): 0.0, (1, 0): 1.0, (0, 1): 0.0, (0, 0): 0.0}
+    monkeypatch.setattr(measurement, "joint_outcome_distribution", lambda *args: dict(leaky))
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"scenario": "stern_gerlach", "trials": 50}))
+    assert cli.main(["sample", str(path)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["outcomes"] for r in records] == [{"0": 1, "1": 0}] * 50

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from objectiva import (DimensionMismatch, DiscriminationError, Effect, ValidationError,
-                       basis_vector, cli, matrix_to_json, random_state, scenarios)
-from objectiva.cli import main, verify_all
+                       basis_vector, cli, matrix_to_json, measurement, random_state, scenarios)
+from objectiva.cli import CHUNK, main, verify_all
 from objectiva.measurement import ReadingSet, sample_events
 from objectiva.scenarios import (
     ScenarioConfig,
     fig1b_arms,
+    fig1c_setup,
     run_fig1a,
     run_fig1b,
     run_fig1c,
@@ -374,3 +375,70 @@ class TestCli:
         lines = buf.getvalue().splitlines()
         assert lines[-1] == "PASS  verify-all"
         assert any("theorem1-random-suite" in line for line in lines)
+
+
+class TestSampleStream:
+    """`sample` writes, CHUNK trials at a time, exactly the bytes of the
+    record list `sample_events` describes."""
+
+    SETUPS = {"stern_gerlach": stern_gerlach_setup, "fig1c_reduction": fig1c_setup}
+
+    def write_config(self, tmp_path, scenario, trials):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": scenario, "weights": [0.3, 0.7],
+                                    "trials": trials}))
+        return str(path)
+
+    def record_lines(self, path, seed):
+        with open(path) as fh:
+            cfg = ScenarioConfig.from_dict(json.load(fh))
+        model, readings, x1, x2 = self.SETUPS[cfg.scenario](cfg.tol)
+        member = superposition_family(SuperpositionSpec(x1, x2, cfg.w1, cfg.w2, cfg.tol),
+                                      cfg.coherence_grid[-1], cfg.phase_grid[0])
+        records = sample_events(model, ReadingSet(readings), member, cfg.trials, seed)
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+    @pytest.mark.parametrize("trials", [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("scenario", ["stern_gerlach", "fig1c_reduction"])
+    def test_output_is_the_record_list_bytes(self, tmp_path, capsys, scenario, seed, trials):
+        path = self.write_config(tmp_path, scenario, trials)
+        assert main(["sample", path, "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert out == self.record_lines(path, seed)
+        target = tmp_path / "events.jsonl"
+        assert main(["sample", path, "--seed", str(seed), "--out", str(target)]) == 0
+        assert target.read_bytes() == out.encode()
+
+    def test_no_write_holds_more_than_one_chunk(self, tmp_path):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        path = self.write_config(tmp_path, "stern_gerlach", 2 * CHUNK + 3)
+        recorder = Recorder()
+        with contextlib.redirect_stdout(recorder):
+            assert main(["sample", path, "--seed", "5"]) == 0
+        assert max(w.count("\n") for w in recorder.writes) <= CHUNK
+        assert "".join(recorder.writes) == self.record_lines(path, 5)
+
+    def test_rejected_scenario_leaves_the_out_file_alone(self, tmp_path):
+        path = self.write_config(tmp_path, "fig1b_coincidence", 10)
+        target = tmp_path / "events.jsonl"
+        target.write_bytes(b"earlier output\n")
+        assert main(["sample", path, "--out", str(target)]) == 2
+        assert target.read_bytes() == b"earlier output\n"
+
+    def test_failing_draw_leaves_the_out_file_alone(self, tmp_path, monkeypatch):
+        def bad_table(*args):
+            raise ValidationError("outcome table sums to 0.5, expected 1")
+
+        monkeypatch.setattr(measurement, "joint_outcome_distribution", bad_table)
+        path = self.write_config(tmp_path, "stern_gerlach", 10)
+        target = tmp_path / "events.jsonl"
+        target.write_bytes(b"earlier output\n")
+        assert main(["sample", path, "--out", str(target)]) == 2
+        assert target.read_bytes() == b"earlier output\n"

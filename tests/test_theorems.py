@@ -74,6 +74,12 @@ class TestTheorem1:
         with pytest.raises(ValidationError, match="PSD"):
             verify_theorem1(bad, E0, E1)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_a_non_finite_tolerance(self, tol):
+        # the identity is not blind to E0 and E1; an infinite tolerance passed it
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            verify_theorem1(Effect(np.eye(2)), E0, E1, tol=tol)
+
     def test_report_json_shape(self):
         report = verify_theorem1(Effect(np.diag([0.0, 0.0, 1.0])),
                                  basis_vector(3, 0), basis_vector(3, 1))
@@ -244,6 +250,14 @@ class TestCounterexampleSearch:
     def test_oracle_agreement(self):
         (report,) = self.setup_reports([0.1])
         assert report.residuals["oracle_mismatch"] <= 1e-10
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_rejects_a_non_finite_tolerance(self, tol):
+        model, readings, x1, x2 = fig1c_setup()
+        spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            counterexample_search(model, 0, 1, readings[0], readings[1], spec, 0.1,
+                                  [superposition_family(spec, 1.0)], tol=tol)
 
 
 class TestBruteForceOracle:
