@@ -52,7 +52,7 @@ def best_discrimination_error(x1: State, x2: State, prior: float = 0.5) -> float
     is perfectly distinguishable at that prior.
     """
     if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior {prior!r} outside [0, 1]")
+        raise ValidationError(f"prior {prior!r} outside [0, 1]")
     if x1.dim != x2.dim:
         raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
     diff = prior * x1.matrix - (1.0 - prior) * x2.matrix

@@ -8,7 +8,7 @@ are immutable after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, prod
+from math import prod
 
 import numpy as np
 
@@ -25,9 +25,11 @@ class DimensionMismatch(ValidationError):
 
 
 def check_tolerance(tol) -> None:
-    """Reject a tolerance outside [0, inf); written so that NaN fails too."""
-    if not 0 <= tol < inf:
-        raise ValidationError(f"tolerance must be nonnegative and finite, got {tol!r}")
+    """Reject a tolerance outside [0, 1); written so that NaN fails too. At 1
+    or above, a zero matrix would pass as a state and every probability
+    check would pass."""
+    if not 0 <= tol < 1:
+        raise ValidationError(f"tolerance must be nonnegative and below 1, got {tol!r}")
 
 
 def as_complex_matrix(entries) -> np.ndarray:
@@ -183,15 +185,21 @@ def prob_batch(a: Effect, matrices: np.ndarray, tols) -> np.ndarray:
     if matrices.shape[1:] != (a.dim, a.dim):
         raise DimensionMismatch(f"effect dim {a.dim} != state dim {matrices.shape[-1]}")
     t = np.einsum("ij,nji->n", a.matrix, matrices)
+    return clamp_probabilities(t, a.tol + np.asarray(tols, dtype=float), "state")
+
+
+def clamp_probabilities(t: np.ndarray, tol, what: str) -> np.ndarray:
+    """The real parts of the complex traces `t`, clamped to [0, 1] after
+    checking that each is real and inside [0, 1] within `tol` (one per trace,
+    or one for all); an error names the first failing `what` by index."""
     p = t.real
-    tol = a.tol + np.asarray(tols, dtype=float)
     bad = (np.abs(t.imag) > tol) | (p < -tol) | (p > 1.0 + tol)
     if (k := _first(bad)) is not None:
         if abs(t.imag[k]) > np.broadcast_to(tol, t.shape)[k]:
             raise ValidationError(
-                f"probability trace of state {k} has imaginary residue {t.imag[k]:.3e}")
+                f"probability trace of {what} {k} has imaginary residue {t.imag[k]:.3e}")
         raise ValidationError(
-            f"probability {float(p[k])!r} of state {k} outside [0, 1] beyond tolerance")
+            f"probability {float(p[k])!r} of {what} {k} outside [0, 1] beyond tolerance")
     return np.minimum(np.maximum(p, 0.0), 1.0)
 
 

@@ -4,8 +4,8 @@ A premeasurement copies which-branch information onto two or more pointer
 channels and keeps the object register (the first detector transmits rather
 than absorbs): V = sum_k (tensor_mu p_k^mu) (x) B_k, one pointer pair per
 channel and two complementary branch projectors. A model stores exactly
-those. Since B_1 B_2 = 0, coincidence effects and channel states have closed
-forms in the pointers, so no production path builds the dense isometry; the
+those. Since B_1 B_2 = 0, coincidence effects, channel states and the joint
+outcome law have closed forms in the pointers, so no production path builds the dense isometry; the
 dense Kronecker route (`isometry`, `embed`, `_coincidence_effect`) is kept
 only as the oracle the closed forms are checked against.
 """
@@ -27,6 +27,7 @@ from .linalg import (
     State,
     ValidationError,
     check_tolerance,
+    clamp_probabilities,
     complement,
     hermiticity_residual,
     prob_batch,
@@ -184,14 +185,21 @@ def _coincidence_effect(model: MeasurementModel, readings: ReadingSet) -> np.nda
     return np.kron(e, np.eye(model.object_dim))
 
 
+def _pointer_expectations(model: MeasurementModel, readings: ReadingSet) -> list:
+    """q_k^mu = <p_k^mu|A_mu|p_k^mu>: one list per branch k, one value per
+    read channel mu in channel order."""
+    readings.validate_against(model.layout)
+    return [[np.vdot(model.pointers[mu][k], readings.entries[mu].matrix
+                     @ model.pointers[mu][k]).real for mu in readings.channels]
+            for k in range(len(model.branches))]
+
+
 def realized_effect(model: MeasurementModel, readings: ReadingSet) -> Effect:
     """The single object-space effect reproducing the coincidence probability:
-    sum_k (prod_mu <p_k^mu|A_mu|p_k^mu>) B_k over the read channels."""
-    readings.validate_against(model.layout)
+    sum_k (prod_mu q_k^mu) B_k over the read channels."""
     m = 0
-    for k, b in enumerate(model.branches):
-        read = [(model.pointers[mu][k], readings.entries[mu].matrix) for mu in readings.channels]
-        m = m + prod(np.vdot(p, a @ p).real for p, a in read) * b
+    for q, b in zip(_pointer_expectations(model, readings), model.branches):
+        m = m + prod(q) * b
     return Effect(m, model.tol)
 
 
@@ -246,23 +254,30 @@ def joint_outcome_distribution(model: MeasurementModel, readings: ReadingSet,
                                x: State) -> dict:
     """Probability of every fire/no-fire pattern over the read channels.
 
-    Patterns are tuples of bits ordered by channel index; each probability is
-    the coincidence value with non-firing channels read through the
-    complement effect. The table sums to one.
+    Patterns are tuples of bits ordered by channel index, all-fire first;
+    each probability is the coincidence value with non-firing channels read
+    through the complement effect. The table sums to one.
+
+    Since B_1 B_2 = 0, the table is a mixture of two product laws: branch k
+    has weight Tr(B_k X), and under it channel mu fires independently with
+    probability q_k^mu (see `_pointer_expectations`).
     """
     channels = readings.channels
     if len(channels) > MAX_SAMPLED_CHANNELS:
         raise ValidationError(f"distribution table over {len(channels)} channels is too large")
-    negated = {mu: complement(readings.entries[mu]) for mu in channels}
-    dist = {}
-    for bits in product((1, 0), repeat=len(channels)):
-        picked = {mu: readings.entries[mu] if bit else negated[mu]
-                  for mu, bit in zip(channels, bits)}
-        dist[bits] = m_eval(model, ReadingSet(picked), x)
-    total = sum(dist.values())
+    if x.dim != model.object_dim:
+        raise DimensionMismatch(f"state dim {x.dim} != object dim {model.object_dim}")
+    expectations = _pointer_expectations(model, readings)
+    traces = np.array([np.einsum("ij,ji->", b, x.matrix) for b in model.branches])
+    weights = clamp_probabilities(traces, model.tol + x.tol, "branch")
+    # axis mu holds (fires, stays idle) for the mu-th read channel
+    law = np.zeros((2,) * len(channels))
+    for w, q in zip(weights, expectations):
+        law += reduce(np.multiply.outer, ([qm, 1.0 - qm] for qm in q), w)
+    total = float(law.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"outcome table sums to {total!r}, expected 1")
-    return dist
+    return dict(zip(product((1, 0), repeat=len(channels)), law.ravel().tolist()))
 
 
 def draw_patterns(model: MeasurementModel, readings: ReadingSet, x: State,

@@ -23,6 +23,7 @@ from objectiva import (
     complement,
     counterexample_search,
     discriminating_reading,
+    inclusion_exclusion_batch,
     is_member,
     joint_outcome_distribution,
     m_eval,
@@ -41,7 +42,8 @@ from objectiva import (
 from objectiva import cli, linalg, measurement, scenarios
 from objectiva.linalg import partial_trace, prob_batch, stack_states
 from objectiva.measurement import _coincidence_effect, m_eval_batch
-from objectiva.scenarios import ScenarioConfig, fig1c_setup, run_fig1a
+from objectiva.scenarios import (ScenarioConfig, fig1c_setup, run_fig1a,
+                                 stern_gerlach_setup)
 from objectiva.superposition import is_member_batch
 
 from helpers import orthogonal_mixed_pair, orthogonal_pure_pair
@@ -430,25 +432,106 @@ class TestMemberStack:
                                             for ph in config.phase_grid]
 
 
+def pattern_readings(readings):
+    """Every fire/no-fire pattern with its reading set, in table order: a
+    channel that does not fire is read through the complement."""
+    for bits in product((1, 0), repeat=len(readings.channels)):
+        yield bits, ReadingSet({mu: readings.entries[mu] if b else complement(readings.entries[mu])
+                                for mu, b in zip(readings.channels, bits)})
+
+
+def pattern_loop(model, readings, x):
+    """The joint table built pattern by pattern, one coincidence value each."""
+    return {bits: m_eval(model, picked, x) for bits, picked in pattern_readings(readings)}
+
+
+def table_cases(rng):
+    """(model, reading set) pairs over at most five channels: object dim 3
+    with the remainder padded, mixed branches, overlapping pointers, five
+    channels, and readings on the channel subset {0, 2} of four."""
+    four = random_model(rng, 3, 4)
+    models = [four, mixed_padded_model(rng), degenerate_model(rng), random_model(rng, 2, 5)]
+    cases = []
+    for model in models:
+        cases.append((model, ReadingSet({mu: random_effect(d, int(rng.integers(2**32)))
+                                         for mu, d in enumerate(model.layout.channel_dims)})))
+    cases.append((four, ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
+                                    for mu in (0, 2)})))
+    return cases
+
+
 class TestJointTable:
-    def test_one_complement_per_channel(self, rng, monkeypatch):
+    def test_no_effect_is_built_per_pattern(self, monkeypatch):
+        x1, x2 = pure_state(basis_vector(2, 0)), pure_state(basis_vector(2, 1))
+        x = superposition_family(SuperpositionSpec(x1, x2, 0.3, 0.7), 0.8, 1.3)
+        setups = {}
+        for n in (4, 8):
+            model = build_premeasurement(x1, x2, ChannelLayout((2,) * n),
+                                         [(basis_vector(2, 1), basis_vector(2, 0))] * n)
+            setups[n] = model, ReadingSet({mu: discriminating_reading(model, mu, x1, x2)
+                                           for mu in range(n)})
+        built = []
+        checks = Effect.__post_init__
+
+        def counting(self):
+            built.append(self)
+            checks(self)
+
+        monkeypatch.setattr(Effect, "__post_init__", counting)
+        counts = {}
+        for n, (model, readings) in setups.items():
+            built.clear()
+            assert len(joint_outcome_distribution(model, readings, x)) == 2**n
+            counts[n] = len(built)
+        assert counts[4] == counts[8]
+
+    def test_matches_the_pattern_loop_and_both_oracles(self, rng):
+        for model, readings in table_cases(rng):
+            members = random_members(rng, model.object_dim, 4)
+            oracle = inclusion_exclusion_batch(model, readings,
+                                               *stack_states(members, model.object_dim))
+            for k, x in enumerate(members):
+                table = joint_outcome_distribution(model, readings, x)
+                assert list(table) == list(oracle)
+                for bits, picked in pattern_readings(readings):
+                    assert abs(table[bits] - m_eval(model, picked, x)) <= 1e-15
+                    assert abs(table[bits] - oracle[bits][k]) <= 1e-15
+                    assert abs(table[bits] - dense_oracle(model, picked, x)) <= 1e-15
+
+    @pytest.mark.parametrize("setup", [fig1c_setup, stern_gerlach_setup])
+    def test_scenario_tables_equal_the_pattern_loop(self, setup):
+        # `sample` and the stern_gerlach counts draw from these tables
+        model, readings, x1, x2 = setup()
+        readings = ReadingSet(readings)
+        for w1 in (0.0, 0.123, 0.3, 0.5, 0.77, 1.0):
+            spec = SuperpositionSpec(x1, x2, w1, 1.0 - w1)
+            for x in superposition_members(spec, (0.0, 0.4, 1.0),
+                                           np.linspace(0, 2 * np.pi, 7)):
+                assert joint_outcome_distribution(model, readings, x) \
+                    == pattern_loop(model, readings, x)
+
+    def test_zero_read_channels_give_one_entry(self, rng):
+        model = mixed_padded_model(rng)
+        x = random_state(model.object_dim, 3)
+        table = joint_outcome_distribution(model, ReadingSet({}), x)
+        assert list(table) == [()]
+        assert abs(table[()] - m_eval(model, ReadingSet({}), x)) <= 1e-15
+
+    def test_errors_keep_their_types(self, rng):
         model = random_model(rng, 3, 4)
-        readings = ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
-                               for mu in range(4)})
-        x = random_state(3, 7)
-        # the table as before: the complement rebuilt for every pattern
-        expected = {}
-        for bits, _ in joint_outcome_distribution(model, readings, x).items():
-            picked = {mu: readings.entries[mu] if b else complement(readings.entries[mu])
-                      for mu, b in zip(readings.channels, bits)}
-            expected[bits] = m_eval(model, ReadingSet(picked), x)
-        calls = []
-        exact = measurement.complement
-
-        def counting_complement(a):
-            calls.append(a)
-            return exact(a)
-
-        monkeypatch.setattr(measurement, "complement", counting_complement)
-        assert joint_outcome_distribution(model, readings, x) == expected
-        assert len(calls) == 4
+        x = random_state(3, 1)
+        a = random_effect(2, 2)
+        big = build_premeasurement(pure_state(basis_vector(2, 0)),
+                                   pure_state(basis_vector(2, 1)),
+                                   ChannelLayout((2,) * (measurement.MAX_SAMPLED_CHANNELS + 1)),
+                                   [(basis_vector(2, 1), basis_vector(2, 0))]
+                                   * (measurement.MAX_SAMPLED_CHANNELS + 1))
+        everywhere = ReadingSet({mu: a for mu in range(big.layout.n_channels)})
+        with pytest.raises(ValidationError, match="too large"):
+            joint_outcome_distribution(big, everywhere, random_state(2, 0))
+        with pytest.raises(DimensionMismatch, match="outside layout"):
+            joint_outcome_distribution(model, ReadingSet({0: a, 4: a}), x)
+        with pytest.raises(DimensionMismatch, match="has dim 3"):
+            joint_outcome_distribution(model, ReadingSet({0: a, 1: random_effect(3, 4)}), x)
+        with pytest.raises(DimensionMismatch, match="state dim 2"):
+            joint_outcome_distribution(model, ReadingSet({0: a}), random_state(2, 5))

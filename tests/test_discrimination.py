@@ -5,6 +5,7 @@ from objectiva import (
     DiscriminationError,
     Effect,
     State,
+    ValidationError,
     basis_vector,
     best_discrimination_error,
     complement,
@@ -99,6 +100,7 @@ class TestBestDiscriminationError:
             err = best_discrimination_error(x1, x2)
             assert (err < 1e-10) == is_orthogonal(x1, x2)
 
-    def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            best_discrimination_error(random_state(2, 0), random_state(2, 1), prior=1.5)
+    @pytest.mark.parametrize("prior", [1.5, -0.1, float("nan")])
+    def test_prior_validation(self, prior):
+        with pytest.raises(ValidationError, match="outside"):
+            best_discrimination_error(random_state(2, 0), random_state(2, 1), prior=prior)

@@ -52,8 +52,8 @@ class TestValidation:
         with pytest.raises(ValidationError, match="NaN"):
             Effect([[np.nan, 0], [0, 0]])
 
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
-    def test_rejects_a_tolerance_outside_the_nonnegative_reals(self, tol):
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, 1.0])
+    def test_rejects_a_tolerance_outside_the_unit_interval(self, tol):
         m = np.diag([0.5, 0.5])
         for make in (State, Effect, lambda m, tol: StateStack(m[None], tol)):
             with pytest.raises(ValidationError, match="tolerance must be nonnegative"):

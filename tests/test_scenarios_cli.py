@@ -295,12 +295,15 @@ class TestCli:
         pytest.param(["validate", "MATRIX", "--tolerance", "nan"], id="validate-nan"),
         pytest.param(["validate", "MATRIX", "--tolerance", "inf"], id="validate-inf"),
         pytest.param(["validate", "MATRIX", "--tolerance", "-1"], id="validate-negative"),
+        pytest.param(["validate", "MATRIX", "--tolerance", "1"], id="validate-one"),
+        pytest.param(["run", "CFG", "--tolerance", "1"], id="run-one"),
         pytest.param(["verify-all", "--seed", "-1"], id="verify-all-negative-seed"),
     ])
     def test_bad_tolerance_or_seed_exits_two_with_one_line(self, tmp_path, capsys, argv):
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(matrix_to_json(np.diag([2.0, 3.0]))))
-        assert main([str(path) if a == "MATRIX" else a for a in argv]) == 2
+        paths = {"MATRIX": tmp_path / "m.json", "CFG": tmp_path / "c.json"}
+        paths["MATRIX"].write_text(json.dumps(matrix_to_json(np.diag([2.0, 3.0]))))
+        paths["CFG"].write_text(json.dumps({"scenario": "fig1a_interference"}))
+        assert main([str(paths[a]) if a in paths else a for a in argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
