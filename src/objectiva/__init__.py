@@ -32,7 +32,6 @@ from .superposition import (
     is_member,
     is_member_batch,
     is_orthogonal,
-    is_sensitive_to_interference,
     superposition_family,
     superposition_members,
 )

@@ -11,6 +11,7 @@ from .linalg import (
     Effect,
     State,
     ValidationError,
+    _overlap,
     _spectral_projector,
     prob,
 )
@@ -37,9 +38,7 @@ def synthesize_discriminator(x1: State, x2: State, tol: float = DEFAULT_TOL) -> 
     (1, 0) on (X1, X2). Eigenvalues within the cutoff band around zero are
     excluded to keep the joint-kernel directions out of the projector.
     """
-    if x1.dim != x2.dim:
-        raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
-    overlap = float(np.trace(x1.matrix @ x2.matrix).real)
+    overlap = _overlap(x1, x2)
     if overlap > tol:
         raise DiscriminationError(overlap)
     return _spectral_projector(x1.matrix - x2.matrix, tol)

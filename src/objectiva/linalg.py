@@ -206,9 +206,14 @@ def clamp_probabilities(t: np.ndarray, tol, what: str) -> np.ndarray:
 def prob(a: Effect, x: State) -> float:
     """Event probability Tr[A X], clamped to [0, 1] within tolerance: the
     one-state case of `prob_batch`."""
-    if a.dim != x.dim:
-        raise DimensionMismatch(f"effect dim {a.dim} != state dim {x.dim}")
     return float(prob_batch(a, x.matrix[None], x.tol)[0])
+
+
+def _overlap(x1: State, x2: State) -> float:
+    """Tr(X1 X2): zero exactly when two states have disjoint supports."""
+    if x1.dim != x2.dim:
+        raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
+    return float(np.trace(x1.matrix @ x2.matrix).real)
 
 
 def complement(a: Effect) -> Effect:

@@ -21,10 +21,9 @@ from .linalg import (
     StateStack,
     ValidationError,
     _first,
+    _overlap,
     check_tolerance,
     kernel_projector,
-    prob,
-    prob_batch,
 )
 
 DEFAULT_COHERENCE_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -35,9 +34,7 @@ PURITY_TOL = 1e-9
 
 def is_orthogonal(x1: State, x2: State, tol: float = DEFAULT_TOL) -> bool:
     """True iff Tr(X1 X2) vanishes (disjoint supports for PSD operators)."""
-    if x1.dim != x2.dim:
-        raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
-    return float(np.trace(x1.matrix @ x2.matrix).real) <= tol
+    return _overlap(x1, x2) <= tol
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,11 @@ class SuperpositionSpec:
 
     def __post_init__(self):
         check_tolerance(self.tol)
-        if self.x1.dim != self.x2.dim:
-            raise DimensionMismatch(f"branch dims differ: {self.x1.dim} vs {self.x2.dim}")
+        overlap = _overlap(self.x1, self.x2)
         if not (-self.tol <= self.w1 <= 1 + self.tol and -self.tol <= self.w2 <= 1 + self.tol):
             raise ValidationError(f"weights ({self.w1}, {self.w2}) outside [0, 1]")
         if abs(self.w1 + self.w2 - 1.0) > self.tol:
             raise ValidationError(f"weights sum to {self.w1 + self.w2!r}, expected 1")
-        overlap = float(np.trace(self.x1.matrix @ self.x2.matrix).real)
         if overlap > self.tol:
             raise ValidationError(f"branch states are not orthogonal: overlap {overlap:.3e}")
 
@@ -134,14 +129,5 @@ def is_member_batch(matrices: np.ndarray, spec: SuperpositionSpec,
 
 def is_member(x: State, spec: SuperpositionSpec, tol: float | None = None) -> bool:
     """Block test of one candidate: the one-state case of `is_member_batch`."""
-    if x.dim != spec.dim:
-        raise DimensionMismatch(f"candidate dim {x.dim} != spec dim {spec.dim}")
     return bool(is_member_batch(x.matrix[None], spec, tol)[0])
 
-
-def is_sensitive_to_interference(a, spec: SuperpositionSpec) -> bool:
-    """True iff the effect's probability varies across the default member grid."""
-    baseline = prob(a, spec.incoherent_mixture())
-    members = superposition_members(spec, DEFAULT_COHERENCE_GRID, DEFAULT_PHASE_GRID)
-    probs = prob_batch(a, members.matrices, members.tol)
-    return float(np.max(np.abs(probs - baseline), initial=0.0)) > spec.tol

@@ -97,9 +97,20 @@ def verify_theorem1(a: Effect, psi1, psi2, tol: float = DEFAULT_TOL) -> Report:
                   {"kernel_witness": witness})
 
 
-def _require_members(spec: SuperpositionSpec, matrices: np.ndarray, tol: float):
+def _member_stack(spec: SuperpositionSpec, members, tol: float) -> tuple:
+    """`stack_states` of the members, which must pass the block test."""
+    matrices, tols = stack_states(members, spec.dim)
     if (k := _first(~is_member_batch(matrices, spec, tol=max(tol, spec.tol)))) is not None:
         raise ValidationError(f"member {k} fails the superposition-set test")
+    return matrices, tols
+
+
+def _disagreement(model: MeasurementModel, mu: int, nu: int, a_mu: Effect,
+                  a_nu: Effect, matrices: np.ndarray, tols) -> np.ndarray:
+    """P(A_mu, not A_nu) + P(not A_mu, A_nu), negated through this module's `complement`."""
+    def m(b_mu: Effect, b_nu: Effect) -> np.ndarray:
+        return m_eval_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), matrices, tols)
+    return m(a_mu, complement(a_nu)) + m(complement(a_mu), a_nu)
 
 
 def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
@@ -110,8 +121,7 @@ def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
     pre2 = prob(a, spec.x2)
     preconditions = {"prob_x1": pre1, "prob_x2": pre2,
                      "satisfied": max(pre1, pre2) <= tol}
-    matrices, tols = stack_states(members, spec.dim)
-    _require_members(spec, matrices, tol)
+    matrices, tols = _member_stack(spec, members, tol)
     if not preconditions["satisfied"]:
         return Report("theorem1_prime", False, preconditions,
                       {"max_member_prob": None}, {})
@@ -134,19 +144,14 @@ def verify_theorem2(model: MeasurementModel, mu: int, nu: int,
         if abs(p1 - 1.0) > tol or p2 > tol:
             preconditions["satisfied"] = False
             preconditions["failing_channels"].append(ch)
-    matrices, tols = stack_states(members, spec.dim)
-    _require_members(spec, matrices, tol)
+    matrices, tols = _member_stack(spec, members, tol)
     if not preconditions["satisfied"]:
         return Report("theorem2", False, preconditions, {}, {})
-
-    def m(readings: dict) -> np.ndarray:
-        return m_eval_batch(model, ReadingSet(readings), matrices, tols)
-
-    firing = (m({mu: a_mu, nu: a_nu}), m({mu: a_mu}), m({nu: a_nu}))
+    firing = [m_eval_batch(model, ReadingSet(r), matrices, tols)
+              for r in ({mu: a_mu, nu: a_nu}, {mu: a_mu}, {nu: a_nu})]
     worst_agree = float(max(np.max(np.abs(f - spec.w1), initial=0.0) for f in firing))
-    disagreement = np.maximum(m({mu: a_mu, nu: complement(a_nu)}),
-                              m({mu: complement(a_mu), nu: a_nu}))
-    worst_disagree = float(np.max(disagreement, initial=0.0))
+    worst_disagree = float(np.max(_disagreement(model, mu, nu, a_mu, a_nu, matrices, tols),
+                                  initial=0.0))
     passed = worst_agree <= tol and worst_disagree <= tol
     return Report("theorem2", passed, preconditions,
                   {"max_firing_deviation": worst_agree,
@@ -209,9 +214,7 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     b_mu = degrade_reading(a_mu, noise)
     b_nu = degrade_reading(a_nu, noise)
     matrices, tols = stack_states(members, model.object_dim)
-    disagreement = (
-        m_eval_batch(model, ReadingSet({mu: b_mu, nu: complement(b_nu)}), matrices, tols)
-        + m_eval_batch(model, ReadingSet({mu: complement(b_mu), nu: b_nu}), matrices, tols))
+    disagreement = _disagreement(model, mu, nu, b_mu, b_nu, matrices, tols)
     oracle = inclusion_exclusion_batch(model, ReadingSet({mu: b_mu, nu: b_nu}),
                                        matrices, tols)
     oracle_disagree = oracle[(1, 0)] + oracle[(0, 1)]

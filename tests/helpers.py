@@ -1,6 +1,13 @@
 import numpy as np
 
-from objectiva import State, pure_state, random_orthonormal
+from objectiva import (State, SuperpositionSpec, degrade_reading, pure_state,
+                       random_orthonormal, superposition_members, verify_theorem2)
+from objectiva.scenarios import fig1c_setup
+
+# Both fig1c readings fire on the wrong branch with probability eta / 2, so
+# they disagree with probability eta - eta^2 / 2, which is above TOL; either
+# of its two terms alone is half of that, which is below TOL.
+FALSE_PASS_ETA, FALSE_PASS_TOL = 1.5e-3, 1e-3
 
 
 def orthogonal_mixed_pair(dim, rng, rank1=None, rank2=None):
@@ -21,3 +28,21 @@ def orthogonal_mixed_pair(dim, rng, rank1=None, rank2=None):
 def orthogonal_pure_pair(dim, rng):
     cols = random_orthonormal(dim, 2, rng)
     return pure_state(cols[:, 0]), pure_state(cols[:, 1])
+
+
+def false_pass_case():
+    """The fig1c model, its two readings degraded by FALSE_PASS_ETA, and a
+    w1 = 0.3 spec with coherent members: (model, readings, degraded, spec,
+    members)."""
+    model, readings, x1, x2 = fig1c_setup()
+    spec = SuperpositionSpec(x1, x2, 0.3, 0.7)
+    members = superposition_members(spec, (0.0, 0.5, 1.0), (0.0, 1.0))
+    degraded = {mu: degrade_reading(readings[mu], FALSE_PASS_ETA) for mu in (0, 1)}
+    return model, readings, degraded, spec, members
+
+
+def false_pass_theorem2():
+    """Theorem 2's report on `false_pass_case` at FALSE_PASS_TOL."""
+    model, _, degraded, spec, members = false_pass_case()
+    return verify_theorem2(model, 0, 1, degraded[0], degraded[1], spec, members,
+                           FALSE_PASS_TOL)

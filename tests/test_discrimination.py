@@ -65,6 +65,8 @@ class TestSynthesize:
         with pytest.raises(DiscriminationError) as err:
             synthesize_discriminator(x1, x2)
         assert err.value.overlap == pytest.approx(0.5)
+        assert err.value.overlap == float(np.trace(x1.matrix @ x2.matrix).real)
+        assert str(err.value) == "states are not orthogonal: overlap 5.000e-01"
 
     def test_agrees_with_reverse_complement_on_joint_support(self, rng):
         for _ in range(20):

@@ -85,7 +85,7 @@ class TestProb:
         assert prob(support_projector(x1), member) == pytest.approx(0.5, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^effect dim 3 != state dim 2$"):
             prob(Effect(np.eye(3)), random_state(2, 0))
 
     @settings(deadline=None, max_examples=50)

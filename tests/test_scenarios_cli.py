@@ -53,6 +53,18 @@ MALFORMED_CONFIGS = [
                  id="matrix-without-dim"),
 ]
 
+# The lines of `verify-all --seed 0` in order: perfbench's verify_battery
+# workload counts them as its items, so a change here moves its items_per_s.
+VERIFY_ALL_NAMES = [
+    "theorem1-random-suite", "theorem1-prime-family", "membership-block-vs-oracle",
+    "separability-residual", "realized-effect-routes",
+    *(f"fig1a-interference[w1={w1}]" for w1 in (0.0, 0.25, 0.5, 0.75, 1.0)),
+    "fig1b-coincidence",
+    *(f"{name}[w1={w1}]" for w1 in (0.0, 0.25, 0.5, 0.75, 1.0)
+      for name in ("fig1c-reduction", "stern-gerlach")),
+    "discrimination-necessity", "verify-all",
+]
+
 
 def config(scenario, **kw):
     return ScenarioConfig(scenario, **kw)
@@ -354,6 +366,18 @@ class TestCli:
         lines = buf.getvalue().splitlines()
         assert all(line.startswith(("PASS", "FAIL")) for line in lines)
         assert any("theorem1-random-suite" in line for line in lines)
+
+    @pytest.mark.parametrize("hook", [None, *cli.MUTATIONS])
+    def test_verify_all_check_names_are_pinned(self, hook):
+        buf = io.StringIO()
+        verify_all(0, hook, stream=buf)
+        names = [line.split("  ")[1] for line in buf.getvalue().splitlines()]
+        expected = list(VERIFY_ALL_NAMES)
+        if hook == "non-orthogonal-pointers":
+            expected.insert(expected.index("fig1c-reduction[w1=0.0]"),
+                            "fig1c-reduction[mutated-pointers]")
+        assert names == expected
+        assert len(names) == (24 if hook == "non-orthogonal-pointers" else 23)
 
     def test_bad_input_errors_are_validation_errors(self):
         assert issubclass(DimensionMismatch, ValidationError)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from objectiva import (
+    DimensionMismatch,
     Effect,
     State,
     SuperpositionSpec,
@@ -9,13 +10,12 @@ from objectiva import (
     basis_vector,
     is_member,
     is_orthogonal,
-    is_sensitive_to_interference,
     membership_violation,
     prob,
     pure_state,
     random_effect,
-    support_projector,
     superposition_family,
+    synthesize_discriminator,
 )
 from objectiva.linalg import kernel_projector
 
@@ -57,6 +57,19 @@ class TestOrthogonality:
         spec = half_spec()
         with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
             is_member(spec.incoherent_mixture(), spec, tol=tol)
+
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda x1, x2: SuperpositionSpec(x1, x2, 0.5, 0.5), id="spec"),
+        pytest.param(synthesize_discriminator, id="discriminator"),
+        pytest.param(is_orthogonal, id="is_orthogonal"),
+    ])
+    def test_mismatched_dims_are_named_by_the_overlap(self, check):
+        with pytest.raises(DimensionMismatch, match=r"^state dims differ: 2 vs 3$"):
+            check(pure_state(E0), pure_state(basis_vector(3, 1)))
+
+    def test_block_test_names_a_mismatched_candidate(self):
+        with pytest.raises(DimensionMismatch, match=r"^candidate dim 3 != spec dim 2$"):
+            is_member(pure_state(basis_vector(3, 0)), half_spec())
 
     def test_spec_rejects_bad_weights(self):
         with pytest.raises(ValidationError, match="weights"):
@@ -197,23 +210,3 @@ class TestMembership:
             a = Effect(q1 @ b.matrix @ q1)
             assert prob(a, x) == pytest.approx(
                 spec.w2 * prob(a, spec.x2), abs=1e-9)
-
-
-class TestInterferenceSensitivity:
-    def test_branch_support_projector_is_blind(self):
-        spec = half_spec()
-        assert not is_sensitive_to_interference(support_projector(spec.x1), spec)
-
-    def test_plus_projector_is_sensitive(self):
-        spec = half_spec()
-        plus = Effect(np.full((2, 2), 0.5))
-        assert is_sensitive_to_interference(plus, spec)
-
-    def test_verdict_matches_cross_block_criterion(self, rng):
-        spec = half_spec(3, rng)
-        p1 = support_projector(spec.x1).matrix
-        p2 = support_projector(spec.x2).matrix
-        for seed in range(100):
-            a = random_effect(3, seed)
-            cross = np.max(np.abs(p1 @ a.matrix @ p2))
-            assert is_sensitive_to_interference(a, spec) == (cross > 1e-10)

@@ -33,7 +33,8 @@ from objectiva import (
 )
 from objectiva.scenarios import fig1c_setup
 
-from helpers import orthogonal_pure_pair
+from helpers import (FALSE_PASS_ETA, FALSE_PASS_TOL, false_pass_case, false_pass_theorem2,
+                     orthogonal_pure_pair)
 
 E0, E1 = basis_vector(2, 0), basis_vector(2, 1)
 
@@ -160,6 +161,26 @@ class TestTheorem2:
                                  [spec.incoherent_mixture()])
         assert not report.passed
         assert report.preconditions["failing_channels"] == [1]
+
+    def test_disagreement_is_the_sum_of_both_mismatches(self):
+        # the readings pass the preconditions and the firing checks; only
+        # the disagreement, P(1, 0) + P(0, 1), is above the tolerance
+        eta, tol = FALSE_PASS_ETA, FALSE_PASS_TOL
+        model, readings, degraded, spec, members = false_pass_case()
+        report = false_pass_theorem2()
+        assert report.preconditions["satisfied"]
+        assert report.residuals["max_firing_deviation"] <= tol
+        assert not report.passed
+        value = report.residuals["max_disagreement"]
+        search = counterexample_search(model, 0, 1, readings[0], readings[1], spec, eta,
+                                       members, tol)
+        assert abs(value - search.residuals["max_disagreement"]) <= 1e-15
+        # a route that never reads the complement effect
+        tables = [joint_outcome_distribution(model, ReadingSet(degraded), members[k])
+                  for k in range(len(members))]
+        assert abs(value - max(t[(1, 0)] + t[(0, 1)] for t in tables)) <= 1e-15
+        assert value == pytest.approx(eta - eta ** 2 / 2, abs=1e-15)
+        assert value > tol
 
 
 class TestInclusionExclusionOracle:
