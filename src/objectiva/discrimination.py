@@ -7,11 +7,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    DimensionMismatch,
     Effect,
     State,
     ValidationError,
     _overlap,
+    _require_same_dim,
     _spectral_projector,
     prob,
 )
@@ -52,8 +52,7 @@ def best_discrimination_error(x1: State, x2: State, prior: float = 0.5) -> float
     """
     if not 0.0 <= prior <= 1.0:
         raise ValidationError(f"prior {prior!r} outside [0, 1]")
-    if x1.dim != x2.dim:
-        raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
+    _require_same_dim(x1, x2)
     diff = prior * x1.matrix - (1.0 - prior) * x2.matrix
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
     return 0.5 * (1.0 - trace_norm)

@@ -209,10 +209,15 @@ def prob(a: Effect, x: State) -> float:
     return float(prob_batch(a, x.matrix[None], x.tol)[0])
 
 
-def _overlap(x1: State, x2: State) -> float:
-    """Tr(X1 X2): zero exactly when two states have disjoint supports."""
+def _require_same_dim(x1: State, x2: State) -> None:
+    """Raise DimensionMismatch unless the two states share one dimension."""
     if x1.dim != x2.dim:
         raise DimensionMismatch(f"state dims differ: {x1.dim} vs {x2.dim}")
+
+
+def _overlap(x1: State, x2: State) -> float:
+    """Tr(X1 X2): zero exactly when two states have disjoint supports."""
+    _require_same_dim(x1, x2)
     return float(np.trace(x1.matrix @ x2.matrix).real)
 
 

@@ -116,15 +116,22 @@ def superposition_family(spec: SuperpositionSpec, coherence: float,
 def is_member_batch(matrices: np.ndarray, spec: SuperpositionSpec,
                     tol: float | None = None) -> np.ndarray:
     """Block test over a stack of (n, d, d) candidate matrices: True where
-    Q1 X Q1 == w2 X2 and Q2 X Q2 == w1 X1 for kernel projectors Q."""
-    if matrices.shape[1:] != (spec.dim, spec.dim):
-        raise DimensionMismatch(f"candidate dim {matrices.shape[-1]} != spec dim {spec.dim}")
+    Q1 X Q1 == w2 X2 and Q2 X Q2 == w1 X1 for kernel projectors Q, each side
+    formed transposed by two GEMMs over the whole stack, (X Q)^T Q^T."""
+    d = spec.dim
+    if matrices.shape[1:] != (d, d):
+        raise DimensionMismatch(f"candidate dim {matrices.shape[-1]} != spec dim {d}")
     tol = spec.tol if tol is None else tol
     check_tolerance(tol)
-    q1, q2 = spec.kernel_projectors
-    r1 = np.max(np.abs(q1 @ matrices @ q1 - spec.w2 * spec.x2.matrix), axis=(1, 2))
-    r2 = np.max(np.abs(q2 @ matrices @ q2 - spec.w1 * spec.x1.matrix), axis=(1, 2))
-    return np.maximum(r1, r2) <= tol
+    n = len(matrices)
+    flat = matrices.reshape(n * d, d)
+    residuals = []
+    for q, target in zip(spec.kernel_projectors,
+                         (spec.w2 * spec.x2.matrix, spec.w1 * spec.x1.matrix)):
+        xq_t = (flat @ q).reshape(n, d, d).swapaxes(1, 2).reshape(n * d, d)
+        qxq_t = (xq_t @ q.T).reshape(n, d * d)
+        residuals.append(np.abs(qxq_t - target.T.ravel()).max(axis=1))
+    return np.maximum(*residuals) <= tol
 
 
 def is_member(x: State, spec: SuperpositionSpec, tol: float | None = None) -> bool:

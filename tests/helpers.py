@@ -30,6 +30,16 @@ def orthogonal_pure_pair(dim, rng):
     return pure_state(cols[:, 0]), pure_state(cols[:, 1])
 
 
+def block_test_loop(matrices, spec, tol):
+    """Reference block test, one candidate at a time: True where
+    Q1 X Q1 == w2 X2 and Q2 X Q2 == w1 X1 up to the largest entry modulus."""
+    q1, q2 = spec.kernel_projectors
+    t1, t2 = spec.w2 * spec.x2.matrix, spec.w1 * spec.x1.matrix
+    return np.array([max(np.max(np.abs(q1 @ x @ q1 - t1)),
+                         np.max(np.abs(q2 @ x @ q2 - t2))) <= tol for x in matrices],
+                    dtype=bool)
+
+
 def false_pass_case():
     """The fig1c model, its two readings degraded by FALSE_PASS_ETA, and a
     w1 = 0.3 spec with coherent members: (model, readings, degraded, spec,

@@ -5,13 +5,11 @@ lines as they appear."""
 import io
 
 import numpy as np
-import pytest
 
 from objectiva import (
     Effect,
     ReadingSet,
     SuperpositionSpec,
-    basis_vector,
     counterexample_search,
     is_member,
     m_eval,

@@ -46,7 +46,9 @@ from objectiva.scenarios import (ScenarioConfig, fig1c_setup, run_fig1a,
                                  stern_gerlach_setup)
 from objectiva.superposition import is_member_batch
 
-from helpers import orthogonal_mixed_pair, orthogonal_pure_pair
+from helpers import block_test_loop, orthogonal_mixed_pair, orthogonal_pure_pair
+
+TOL = 1e-9
 
 
 def random_pointers(rng, channel_dims):
@@ -230,6 +232,43 @@ class TestBatchedMembership:
                 assert verdict == is_member(x, spec, tol=1e-9)
                 assert verdict == (membership_violation(x, spec, samples=300,
                                                         seed=int(rng.integers(2**32))) <= 1e-9)
+
+    @staticmethod
+    def block_cases(rng, dim, mixed):
+        """A spec with complex branches (a rank-2 first branch when mixed) and
+        its candidates: members, the mixture, x1, x2, two random states, and a
+        member moved 0.5 tol and 2 tol along the first branch."""
+        x1, x2 = (orthogonal_mixed_pair(dim, rng, rank1=2, rank2=1) if mixed
+                  else orthogonal_pure_pair(dim, rng))
+        w1 = float(rng.uniform(0.1, 0.9))
+        spec = SuperpositionSpec(x1, x2, w1, 1 - w1)
+        members = superposition_members(spec, (0.0,) if mixed else (0.0, 0.5, 1.0),
+                                        rng.uniform(0, 2 * np.pi, size=3))
+        v1 = np.linalg.eigh(x1.matrix)[1][:, -1]
+        # Q2 keeps v1 and Q1 removes it, so only the Q2 residual moves, by f * TOL
+        along_x1 = np.outer(v1, v1.conj()) / np.max(np.abs(np.outer(v1, v1.conj())))
+        moved = [members.matrices[-1] + f * TOL * along_x1 for f in (0.5, 2.0)]
+        randoms = [random_state(dim, int(rng.integers(2**32))).matrix for _ in range(2)]
+        candidates = np.array([*members.matrices, spec.incoherent_mixture().matrix,
+                               x1.matrix, x2.matrix, *randoms, *moved])
+        expected = [True] * (len(members) + 1) + [False] * 4 + [True, False]
+        return spec, members, candidates, expected
+
+    @pytest.mark.parametrize("dim,mixed", [(d, False) for d in range(2, 7)]
+                             + [(d, True) for d in range(3, 7)])
+    def test_stack_kernel_matches_the_member_loop(self, rng, dim, mixed):
+        spec, members, candidates, expected = self.block_cases(rng, dim, mixed)
+        verdicts = is_member_batch(candidates, spec, tol=TOL)
+        assert verdicts.dtype == bool
+        assert list(verdicts) == expected
+        assert list(verdicts) == list(block_test_loop(candidates, spec, TOL))
+        strided = candidates[::2]
+        assert not strided.flags.c_contiguous
+        assert list(is_member_batch(strided, spec, tol=TOL)) == expected[::2]
+        assert not members.matrices.flags.writeable
+        assert is_member_batch(members.matrices, spec, tol=TOL).all()
+        empty = is_member_batch(np.zeros((0, dim, dim), dtype=complex), spec, tol=TOL)
+        assert empty.shape == (0,) and empty.dtype == bool
 
     def test_kernel_projectors_computed_once_per_spec(self, rng, monkeypatch):
         x1, x2 = orthogonal_pure_pair(3, rng)

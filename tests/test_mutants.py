@@ -73,6 +73,20 @@ def unchecked_clamp(t, tol, what):
     return np.minimum(np.maximum(t.real, 0.0), 1.0)
 
 
+def block_test_untransposed_target(matrices, spec, tol=None):
+    """The stack block test comparing (Q X Q)^T with each branch target itself,
+    not with its transpose: right only where the targets are symmetric."""
+    n, d = len(matrices), spec.dim
+    tol = spec.tol if tol is None else tol
+    residual = np.zeros(n)
+    for q, target in zip(spec.kernel_projectors,
+                         (spec.w2 * spec.x2.matrix, spec.w1 * spec.x1.matrix)):
+        xq_t = (matrices.reshape(n * d, d) @ q).reshape(n, d, d).swapaxes(1, 2)
+        qxq_t = (xq_t.reshape(n * d, d) @ q.T).reshape(n, d * d)
+        residual = np.maximum(residual, np.max(np.abs(qxq_t - target.reshape(d * d)), axis=1))
+    return residual <= tol
+
+
 # --- checks ------------------------------------------------------------------
 
 def theorem2_rejects_the_false_pass():
@@ -110,6 +124,9 @@ CATALOGUE = {
                                lambda original: lambda matrices, spec, tol=None:
                                np.ones(len(matrices), dtype=bool),
                                verify_all_line("membership-block-vs-oracle")),
+    "block-test-untransposed-target": (superposition, "is_member_batch",
+                                       lambda original: block_test_untransposed_target,
+                                       verify_all_line("membership-block-vs-oracle")),
     "clamp-without-checks (input guard)": (
         linalg, "clamp_probabilities", lambda original: unchecked_clamp,
         prob_batch_rejects_a_trace_outside_the_unit_interval),

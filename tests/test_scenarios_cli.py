@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from objectiva import (DimensionMismatch, DiscriminationError, Effect, ValidationError,
-                       basis_vector, cli, matrix_to_json, measurement, random_state, scenarios)
+                       cli, matrix_to_json, measurement, random_state, scenarios)
 from objectiva.cli import CHUNK, main, verify_all
 from objectiva.measurement import ReadingSet, sample_events
 from objectiva.scenarios import (

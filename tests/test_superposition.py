@@ -8,6 +8,7 @@ from objectiva import (
     SuperpositionSpec,
     ValidationError,
     basis_vector,
+    best_discrimination_error,
     is_member,
     is_orthogonal,
     membership_violation,
@@ -62,8 +63,9 @@ class TestOrthogonality:
         pytest.param(lambda x1, x2: SuperpositionSpec(x1, x2, 0.5, 0.5), id="spec"),
         pytest.param(synthesize_discriminator, id="discriminator"),
         pytest.param(is_orthogonal, id="is_orthogonal"),
+        pytest.param(best_discrimination_error, id="best_discrimination_error"),
     ])
-    def test_mismatched_dims_are_named_by_the_overlap(self, check):
+    def test_mismatched_state_dims_share_one_message(self, check):
         with pytest.raises(DimensionMismatch, match=r"^state dims differ: 2 vs 3$"):
             check(pure_state(E0), pure_state(basis_vector(3, 1)))
 

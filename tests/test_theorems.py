@@ -12,7 +12,6 @@ from objectiva import (
     ValidationError,
     basis_vector,
     build_premeasurement,
-    complement,
     counterexample_search,
     degrade_reading,
     inclusion_exclusion_batch,
@@ -20,7 +19,6 @@ from objectiva import (
     joint_outcome_distribution,
     m_eval_batch,
     membership_violation,
-    prob,
     pure_state,
     random_effect,
     random_orthonormal,
