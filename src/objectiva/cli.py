@@ -302,12 +302,23 @@ def _emit(chunks, out: str | None):
             fh.write(chunk)
 
 
+def _residual_lines(report: dict, prefix: str = ""):
+    """`residual <path>: <value>` for every `residuals` mapping in the report,
+    with its enclosing keys as a dotted prefix, in sorted key order."""
+    for key, value in sorted(report.items()):
+        if key == "residuals":
+            for name, r in sorted(value.items()):
+                yield f"residual {prefix}{name}: {'null' if r is None else f'{r:.3e}'}"
+        elif isinstance(value, dict):
+            yield from _residual_lines(value, f"{prefix}{key}.")
+
+
 def _report_text(report: dict) -> str:
     lines = [f"scenario: {report['scenario']}",
              f"pass: {report['pass']}"]
-    for key, value in sorted(report.get("residuals", {}).items()):
-        lines.append(f"residual {key}: {'null' if value is None else f'{value:.3e}'}")
-    return "\n".join(lines) + "\n"
+    if "members_checked" in report:
+        lines.append(f"members_checked: {report['members_checked']}")
+    return "\n".join([*lines, *_residual_lines(report)]) + "\n"
 
 
 def _cmd_run(args) -> int:

@@ -154,48 +154,49 @@ class StateStack:
         return self.matrices.shape[0]
 
     def __getitem__(self, k: int) -> State:
-        x = object.__new__(State)  # bypasses the frozen __setattr__ and the checks
-        x.__dict__.update(matrix=self.matrices[int(k)], tol=self.tol)
-        return x
+        return _unchecked(State, matrix=self.matrices[int(k)], tol=self.tol)
 
 
-def stack_states(states, dim: int) -> tuple:
-    """The matrices of `states` as one (n, dim, dim) array, with their
-    tolerances (an (n,) array, or a `StateStack`'s one tolerance): the operand
-    of the batched evaluations. A `StateStack` gives its own arrays."""
+def _unchecked(cls, **fields):
+    """A `cls` holding already-validated `fields`, built without its checks."""
+    x = object.__new__(cls)  # bypasses the frozen __setattr__ and the checks
+    x.__dict__.update(fields)
+    return x
+
+
+def stack_states(states, dim: int) -> StateStack:
+    """`states` as one `StateStack` of dim `dim`, the operand of the batched
+    evaluations: a stack as it is, a list of validated `State`s stacked
+    unchecked at the largest member tolerance."""
     if isinstance(states, StateStack):
         if states.dim != dim:
             raise DimensionMismatch(f"stack has dim {states.dim}, expected {dim}")
-        return states.matrices, states.tol
-    matrices = np.empty((len(states), dim, dim), dtype=np.complex128)
+        return states
     for k, x in enumerate(states):
         if x.dim != dim:
             raise DimensionMismatch(f"state {k} has dim {x.dim}, expected {dim}")
-        matrices[k] = x.matrix
-    return matrices, np.array([x.tol for x in states], dtype=float)
+    matrices = np.array([x.matrix for x in states], dtype=np.complex128).reshape(-1, dim, dim)
+    matrices.setflags(write=False)
+    return _unchecked(StateStack, matrices=matrices,
+                      tol=max((x.tol for x in states), default=DEFAULT_TOL))
 
 
-def prob_batch(a: Effect, matrices: np.ndarray, tols) -> np.ndarray:
-    """Event probabilities Tr[A X_k] over a stack of validated state matrices.
-
-    `matrices` has shape (n, d, d); `tols` holds the states' tolerances (one
-    per state, or one for all). Every value gets the checks of `prob` and is
-    clamped to [0, 1]; an error names the first failing index.
-    """
-    if matrices.shape[1:] != (a.dim, a.dim):
-        raise DimensionMismatch(f"effect dim {a.dim} != state dim {matrices.shape[-1]}")
-    t = np.einsum("ij,nji->n", a.matrix, matrices)
-    return clamp_probabilities(t, a.tol + np.asarray(tols, dtype=float), "state")
+def prob_batch(a: Effect, states: StateStack) -> np.ndarray:
+    """Event probabilities Tr[A X_k] over a stack of states, each given the
+    checks of `prob` and clamped to [0, 1]; an error names the first failing index."""
+    if states.dim != a.dim:
+        raise DimensionMismatch(f"effect dim {a.dim} != state dim {states.dim}")
+    t = np.einsum("ij,nji->n", a.matrix, states.matrices)
+    return clamp_probabilities(t, a.tol + states.tol, "state")
 
 
-def clamp_probabilities(t: np.ndarray, tol, what: str) -> np.ndarray:
-    """The real parts of the complex traces `t`, clamped to [0, 1] after
-    checking that each is real and inside [0, 1] within `tol` (one per trace,
-    or one for all); an error names the first failing `what` by index."""
+def clamp_probabilities(t: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The real parts of the traces `t`, clamped to [0, 1] after checking that each is
+    real and inside [0, 1] within `tol`; an error names the first failing `what` by index."""
     p = t.real
     bad = (np.abs(t.imag) > tol) | (p < -tol) | (p > 1.0 + tol)
     if (k := _first(bad)) is not None:
-        if abs(t.imag[k]) > np.broadcast_to(tol, t.shape)[k]:
+        if abs(t.imag[k]) > tol:
             raise ValidationError(
                 f"probability trace of {what} {k} has imaginary residue {t.imag[k]:.3e}")
         raise ValidationError(
@@ -206,7 +207,7 @@ def clamp_probabilities(t: np.ndarray, tol, what: str) -> np.ndarray:
 def prob(a: Effect, x: State) -> float:
     """Event probability Tr[A X], clamped to [0, 1] within tolerance: the
     one-state case of `prob_batch`."""
-    return float(prob_batch(a, x.matrix[None], x.tol)[0])
+    return float(prob_batch(a, stack_states([x], x.dim))[0])
 
 
 def _require_same_dim(x1: State, x2: State) -> None:

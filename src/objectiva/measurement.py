@@ -25,12 +25,14 @@ from .linalg import (
     DimensionMismatch,
     Effect,
     State,
+    StateStack,
     ValidationError,
     check_tolerance,
     clamp_probabilities,
     complement,
     hermiticity_residual,
     prob_batch,
+    stack_states,
     support_projector,
 )
 from .superposition import is_orthogonal
@@ -204,10 +206,10 @@ def realized_effect(model: MeasurementModel, readings: ReadingSet) -> Effect:
 
 
 def m_eval_batch(model: MeasurementModel, readings: ReadingSet,
-                 matrices: np.ndarray, tols) -> np.ndarray:
+                 states: StateStack) -> np.ndarray:
     """Coincidence probabilities of one reading set over a stack of object
     states (see `linalg.stack_states`); the reading set is realized once."""
-    return prob_batch(realized_effect(model, readings), matrices, tols)
+    return prob_batch(realized_effect(model, readings), states)
 
 
 def m_eval(model: MeasurementModel, readings: ReadingSet, x: State) -> float:
@@ -215,7 +217,7 @@ def m_eval(model: MeasurementModel, readings: ReadingSet, x: State) -> float:
     the one-state case of `m_eval_batch`."""
     if x.dim != model.object_dim:
         raise DimensionMismatch(f"state dim {x.dim} != object dim {model.object_dim}")
-    return float(m_eval_batch(model, readings, x.matrix[None], x.tol)[0])
+    return float(m_eval_batch(model, readings, stack_states([x], x.dim))[0])
 
 
 def verify_separability(model: MeasurementModel, x: State, mu: int, nu: int,

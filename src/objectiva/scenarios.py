@@ -31,7 +31,6 @@ from .linalg import (
     matrix_from_json,
     prob_batch,
     pure_state,
-    stack_states,
 )
 from .measurement import (
     ChannelLayout,
@@ -45,6 +44,7 @@ from .superposition import (
     DEFAULT_COHERENCE_GRID,
     DEFAULT_PHASE_GRID,
     SuperpositionSpec,
+    _check_weights,
     superposition_members,
 )
 from .theorems import (
@@ -96,10 +96,7 @@ class ScenarioConfig:
                 _require_number(f"{name} entry", value)
         if not isinstance(self.extra, dict):
             raise ValidationError("extra must be a JSON object")
-        if abs(self.w1 + self.w2 - 1.0) > self.tol:
-            raise ValidationError(f"weights sum to {self.w1 + self.w2!r}, expected 1")
-        if not (0 <= self.w1 <= 1 and 0 <= self.w2 <= 1):
-            raise ValidationError("weights must lie in [0, 1]")
+        _check_weights(self.w1, self.w2, self.tol)
         if not 0.0 <= self.detector_noise < 1.0:
             raise ValidationError("detector_noise must lie in [0, 1)")
         object.__setattr__(self, "coherence_grid", tuple(float(c) for c in self.coherence_grid))
@@ -109,6 +106,10 @@ class ScenarioConfig:
     def from_dict(cls, obj: dict) -> "ScenarioConfig":
         if not isinstance(obj, dict):
             raise ValidationError(f"config must be a JSON object, got {type(obj).__name__}")
+        for first, second in (("weights", "w1"), ("weights", "w2"), ("tolerance", "tol")):
+            if first in obj and second in obj:
+                raise ValidationError(
+                    f"config gives both {first!r} and {second!r}: use one spelling")
         obj = dict(obj)
         kwargs = {}
         if "weights" in obj:
@@ -169,7 +170,7 @@ def run_fig1a(config: ScenarioConfig) -> dict:
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / np.sqrt(2)
     port = Effect(np.outer(plus, plus.conj()), config.tol)
     members = _grid_members(spec, config)
-    grid = prob_batch(port, members.matrices, members.tol).reshape(
+    grid = prob_batch(port, members).reshape(
         len(config.coherence_grid), len(config.phase_grid))
     rows = []
     worst = 0.0
@@ -255,12 +256,11 @@ def _two_channel_battery(model, readings, spec: SuperpositionSpec, members,
     else:
         # computed here, through this module's `complement`, so that binding
         # alone can be swapped for the identity to mutate the scenario battery
-        matrices, tols = stack_states(members, spec.dim)
         a0, a1 = readings[0], readings[1]
         disagreement = (
-            m_eval_batch(model, ReadingSet({0: a0, 1: complement(a1)}), matrices, tols)
-            + m_eval_batch(model, ReadingSet({0: complement(a0), 1: a1}), matrices, tols))
-        both = m_eval_batch(model, ReadingSet({0: a0, 1: a1}), matrices, tols)
+            m_eval_batch(model, ReadingSet({0: a0, 1: complement(a1)}), members)
+            + m_eval_batch(model, ReadingSet({0: complement(a0), 1: a1}), members))
+        both = m_eval_batch(model, ReadingSet({0: a0, 1: a1}), members)
         residuals = {
             "max_disagreement": float(np.max(disagreement, initial=0.0)),
             "max_both_fire_deviation": float(np.max(np.abs(both - config.w1), initial=0.0)),

@@ -32,6 +32,15 @@ DEFAULT_PHASE_GRID = tuple(2.0 * np.pi * k / 8 for k in range(8))
 PURITY_TOL = 1e-9
 
 
+def _check_weights(w1: float, w2: float, tol: float) -> None:
+    """Each weight in [0, 1] (written so that NaN fails), then their sum
+    within tol of 1: the one weight rule of specs and scenario configs."""
+    if not (0 <= w1 <= 1 and 0 <= w2 <= 1):
+        raise ValidationError(f"weights ({w1}, {w2}) outside [0, 1]")
+    if abs(w1 + w2 - 1.0) > tol:
+        raise ValidationError(f"weights sum to {w1 + w2!r}, expected 1")
+
+
 def is_orthogonal(x1: State, x2: State, tol: float = DEFAULT_TOL) -> bool:
     """True iff Tr(X1 X2) vanishes (disjoint supports for PSD operators)."""
     return _overlap(x1, x2) <= tol
@@ -50,10 +59,7 @@ class SuperpositionSpec:
     def __post_init__(self):
         check_tolerance(self.tol)
         overlap = _overlap(self.x1, self.x2)
-        if not (-self.tol <= self.w1 <= 1 + self.tol and -self.tol <= self.w2 <= 1 + self.tol):
-            raise ValidationError(f"weights ({self.w1}, {self.w2}) outside [0, 1]")
-        if abs(self.w1 + self.w2 - 1.0) > self.tol:
-            raise ValidationError(f"weights sum to {self.w1 + self.w2!r}, expected 1")
+        _check_weights(self.w1, self.w2, self.tol)
         if overlap > self.tol:
             raise ValidationError(f"branch states are not orthogonal: overlap {overlap:.3e}")
 

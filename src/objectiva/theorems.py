@@ -17,6 +17,7 @@ from .linalg import (
     DEFAULT_TOL,
     Effect,
     State,
+    StateStack,
     ValidationError,
     _first,
     check_tolerance,
@@ -97,19 +98,19 @@ def verify_theorem1(a: Effect, psi1, psi2, tol: float = DEFAULT_TOL) -> Report:
                   {"kernel_witness": witness})
 
 
-def _member_stack(spec: SuperpositionSpec, members, tol: float) -> tuple:
+def _member_stack(spec: SuperpositionSpec, members, tol: float) -> StateStack:
     """`stack_states` of the members, which must pass the block test."""
-    matrices, tols = stack_states(members, spec.dim)
-    if (k := _first(~is_member_batch(matrices, spec, tol=max(tol, spec.tol)))) is not None:
+    states = stack_states(members, spec.dim)
+    if (k := _first(~is_member_batch(states.matrices, spec, tol=max(tol, spec.tol)))) is not None:
         raise ValidationError(f"member {k} fails the superposition-set test")
-    return matrices, tols
+    return states
 
 
 def _disagreement(model: MeasurementModel, mu: int, nu: int, a_mu: Effect,
-                  a_nu: Effect, matrices: np.ndarray, tols) -> np.ndarray:
+                  a_nu: Effect, states: StateStack) -> np.ndarray:
     """P(A_mu, not A_nu) + P(not A_mu, A_nu), negated through this module's `complement`."""
     def m(b_mu: Effect, b_nu: Effect) -> np.ndarray:
-        return m_eval_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), matrices, tols)
+        return m_eval_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), states)
     return m(a_mu, complement(a_nu)) + m(complement(a_mu), a_nu)
 
 
@@ -121,11 +122,11 @@ def verify_theorem1_prime(a: Effect, spec: SuperpositionSpec, members,
     pre2 = prob(a, spec.x2)
     preconditions = {"prob_x1": pre1, "prob_x2": pre2,
                      "satisfied": max(pre1, pre2) <= tol}
-    matrices, tols = _member_stack(spec, members, tol)
+    states = _member_stack(spec, members, tol)
     if not preconditions["satisfied"]:
         return Report("theorem1_prime", False, preconditions,
                       {"max_member_prob": None}, {})
-    worst = float(np.max(prob_batch(a, matrices, tols), initial=0.0))
+    worst = float(np.max(prob_batch(a, states), initial=0.0))
     return Report("theorem1_prime", worst <= tol, preconditions,
                   {"max_member_prob": worst}, {"members_checked": len(members)})
 
@@ -138,19 +139,19 @@ def verify_theorem2(model: MeasurementModel, mu: int, nu: int,
     preconditions = {"satisfied": True, "failing_channels": []}
     branches = stack_states([spec.x1, spec.x2], spec.dim)
     for name, ch, eff in (("mu", mu, a_mu), ("nu", nu, a_nu)):
-        p1, p2 = (float(p) for p in m_eval_batch(model, ReadingSet({ch: eff}), *branches))
+        p1, p2 = (float(p) for p in m_eval_batch(model, ReadingSet({ch: eff}), branches))
         preconditions[f"m_{name}_x1"] = p1
         preconditions[f"m_{name}_x2"] = p2
         if abs(p1 - 1.0) > tol or p2 > tol:
             preconditions["satisfied"] = False
             preconditions["failing_channels"].append(ch)
-    matrices, tols = _member_stack(spec, members, tol)
+    states = _member_stack(spec, members, tol)
     if not preconditions["satisfied"]:
         return Report("theorem2", False, preconditions, {}, {})
-    firing = [m_eval_batch(model, ReadingSet(r), matrices, tols)
+    firing = [m_eval_batch(model, ReadingSet(r), states)
               for r in ({mu: a_mu, nu: a_nu}, {mu: a_mu}, {nu: a_nu})]
     worst_agree = float(max(np.max(np.abs(f - spec.w1), initial=0.0) for f in firing))
-    worst_disagree = float(np.max(_disagreement(model, mu, nu, a_mu, a_nu, matrices, tols),
+    worst_disagree = float(np.max(_disagreement(model, mu, nu, a_mu, a_nu, states),
                                   initial=0.0))
     passed = worst_agree <= tol and worst_disagree <= tol
     return Report("theorem2", passed, preconditions,
@@ -160,7 +161,7 @@ def verify_theorem2(model: MeasurementModel, mu: int, nu: int,
 
 
 def inclusion_exclusion_batch(model: MeasurementModel, readings: ReadingSet,
-                              matrices: np.ndarray, tols) -> dict:
+                              states: StateStack) -> dict:
     """Joint outcome tables over a stack of states, rebuilt from plain
     coincidence probabilities only.
 
@@ -172,10 +173,10 @@ def inclusion_exclusion_batch(model: MeasurementModel, readings: ReadingSet,
     Used as the oracle against the direct product-effect table.
     """
     channels = readings.channels
-    table = np.empty((2,) * len(channels) + (len(matrices),))
+    table = np.empty((2,) * len(channels) + (len(states),))
     for read in product((0, 1), repeat=len(channels)):
         picked = ReadingSet({c: readings.entries[c] for c, r in zip(channels, read) if r})
-        table[read] = m_eval_batch(model, picked, matrices, tols)
+        table[read] = m_eval_batch(model, picked, states)
     for axis in range(len(channels)):
         unread, fired = np.moveaxis(table, axis, 0)
         unread -= fired
@@ -186,9 +187,8 @@ def inclusion_exclusion_distribution(model: MeasurementModel,
                                      readings: ReadingSet, x: State) -> dict:
     """Joint outcome table of one state: the one-state case of
     `inclusion_exclusion_batch`."""
-    matrices, tols = stack_states([x], model.object_dim)
-    return {bits: float(p[0])
-            for bits, p in inclusion_exclusion_batch(model, readings, matrices, tols).items()}
+    table = inclusion_exclusion_batch(model, readings, stack_states([x], model.object_dim))
+    return {bits: float(p[0]) for bits, p in table.items()}
 
 
 def degrade_reading(a: Effect, noise: float) -> Effect:
@@ -213,10 +213,9 @@ def counterexample_search(model: MeasurementModel, mu: int, nu: int,
     check_tolerance(tol)
     b_mu = degrade_reading(a_mu, noise)
     b_nu = degrade_reading(a_nu, noise)
-    matrices, tols = stack_states(members, model.object_dim)
-    disagreement = _disagreement(model, mu, nu, b_mu, b_nu, matrices, tols)
-    oracle = inclusion_exclusion_batch(model, ReadingSet({mu: b_mu, nu: b_nu}),
-                                       matrices, tols)
+    states = stack_states(members, model.object_dim)
+    disagreement = _disagreement(model, mu, nu, b_mu, b_nu, states)
+    oracle = inclusion_exclusion_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), states)
     oracle_disagree = oracle[(1, 0)] + oracle[(0, 1)]
     worst = float(np.max(disagreement, initial=0.0))
     worst_mismatch = float(np.max(np.abs(disagreement - oracle_disagree), initial=0.0))

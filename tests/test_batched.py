@@ -39,7 +39,7 @@ from objectiva import (
     verify_theorem1_prime,
     verify_theorem2,
 )
-from objectiva import cli, linalg, measurement, scenarios
+from objectiva import cli, linalg, measurement, scenarios, theorems
 from objectiva.linalg import partial_trace, prob_batch, stack_states
 from objectiva.measurement import _coincidence_effect, m_eval_batch
 from objectiva.scenarios import (ScenarioConfig, fig1c_setup, run_fig1a,
@@ -128,14 +128,14 @@ class TestBatchedCoincidence:
     def check_against_dense_oracle(rng, model):
         n_channels = model.layout.n_channels
         members = random_members(rng, model.object_dim, 7)
-        matrices, tols = stack_states(members, model.object_dim)
+        states = stack_states(members, model.object_dim)
         effects = {mu: random_effect(d, int(rng.integers(2**32)))
                    for mu, d in enumerate(model.layout.channel_dims)}
         reading_sets = [ReadingSet({}), ReadingSet({0: effects[0]}),
                         ReadingSet({n_channels - 1: effects[n_channels - 1]}),
                         ReadingSet(effects)]
         for readings in reading_sets:
-            batch = m_eval_batch(model, readings, matrices, tols)
+            batch = m_eval_batch(model, readings, states)
             assert batch.shape == (len(members),)
             loop = [m_eval(model, readings, x) for x in members]
             dense = [dense_oracle(model, readings, x) for x in members]
@@ -144,9 +144,25 @@ class TestBatchedCoincidence:
 
     def test_empty_stack(self, rng):
         model = random_model(rng, 2, 2)
-        matrices, tols = stack_states([], 2)
-        assert matrices.shape == (0, 2, 2)
-        assert m_eval_batch(model, ReadingSet({}), matrices, tols).shape == (0,)
+        states = stack_states([], 2)
+        assert isinstance(states, StateStack) and states.matrices.shape == (0, 2, 2)
+        assert m_eval_batch(model, ReadingSet({}), states).shape == (0,)
+
+    def test_every_batched_evaluator_accepts_an_empty_list(self):
+        model, readings, x1, x2 = fig1c_setup()
+        spec = SuperpositionSpec(x1, x2, 0.5, 0.5)
+        states = stack_states([], 2)
+        both = ReadingSet(readings)
+        assert prob_batch(readings[0], states).shape == (0,)
+        assert m_eval_batch(model, both, states).shape == (0,)
+        table = inclusion_exclusion_batch(model, both, states)
+        assert all(p.shape == (0,) for p in table.values())
+        assert is_member_batch(states.matrices, spec).shape == (0,)
+        assert theorems._disagreement(model, 0, 1, readings[0], readings[1], states).shape == (0,)
+        args = (model, 0, 1, readings[0], readings[1], spec)
+        for report in (verify_theorem2(*args, []), counterexample_search(*args, 0.0, []),
+                       verify_theorem1_prime(Effect(np.zeros((2, 2))), spec, [])):
+            assert report.passed and report.witnesses["members_checked"] == 0
 
     def test_stack_rejects_wrong_dim(self):
         with pytest.raises(ValueError, match="state 1 has dim 3"):
@@ -155,15 +171,16 @@ class TestBatchedCoincidence:
     def test_prob_batch_equals_prob(self, rng):
         states = random_members(rng, 4, 6)
         a = random_effect(4, 5)
-        values = prob_batch(a, *stack_states(states, 4))
+        values = prob_batch(a, stack_states(states, 4))
         assert list(values) == [prob(a, x) for x in states]
 
     def test_prob_batch_names_the_failing_state(self):
         a = Effect(np.diag([1.0, 0.0]))
-        # the second matrix has unit trace but is not PSD: Tr[A X] = 2
-        matrices = np.array([np.diag([0.5, 0.5]), np.diag([2.0, -1.0])], dtype=complex)
+        # doctored past its checks: unit trace but not PSD, so Tr[A X] = 2
+        bad = State(np.diag([0.5, 0.5]))
+        object.__setattr__(bad, "matrix", np.diag([2.0, -1.0]))
         with pytest.raises(ValidationError, match="of state 1 outside"):
-            prob_batch(a, matrices, 1e-10)
+            prob_batch(a, stack_states([State(np.diag([0.5, 0.5])), bad], 2))
 
 
 class TestClosedForms:
@@ -226,7 +243,7 @@ class TestBatchedMembership:
                                                float(rng.uniform(0, 2 * np.pi))),
                           spec.incoherent_mixture(), spec.x1, spec.x2,
                           random_state(dim, int(rng.integers(2**32)))]
-            mask = is_member_batch(stack_states(candidates, dim)[0], spec, tol=1e-9)
+            mask = is_member_batch(stack_states(candidates, dim).matrices, spec, tol=1e-9)
             assert list(mask[:2]) == [True, True]
             for x, verdict in zip(candidates, mask):
                 assert verdict == is_member(x, spec, tol=1e-9)
@@ -284,7 +301,7 @@ class TestBatchedMembership:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         for _ in range(5):
             assert all(is_member(x, spec) for x in members)
-        assert is_member_batch(stack_states(members, 3)[0], spec).all()
+        assert is_member_batch(stack_states(members, 3).matrices, spec).all()
         assert len(calls) == 2
         other = SuperpositionSpec(x1, x2, 0.25, 0.75)
         is_member(other.incoherent_mixture(), other)
@@ -303,8 +320,8 @@ class TestDenseRouteStaysIndependent:
     def break_batched_evaluation(self, monkeypatch):
         exact = linalg.prob_batch
 
-        def shifted(a, matrices, tols):
-            return exact(a, matrices, tols) * (1.0 - 1e-6)
+        def shifted(a, states):
+            return exact(a, states) * (1.0 - 1e-6)
 
         monkeypatch.setattr(linalg, "prob_batch", shifted)
         monkeypatch.setattr(measurement, "prob_batch", shifted)
@@ -352,7 +369,7 @@ class TestMemberStack:
             assert len(stack) == len(COHERENCES) * len(PHASES)
             grid = list(product(COHERENCES, PHASES))
             loop = [loop_member(spec, c, ph) for c, ph in grid]
-            assert np.max(np.abs(stack.matrices - stack_states(loop, dim)[0])) == 0.0
+            assert np.max(np.abs(stack.matrices - stack_states(loop, dim).matrices)) == 0.0
             for k, (c, ph) in enumerate(grid):
                 assert np.max(np.abs(stack[k].matrix - loop[k].matrix)) == 0.0
                 assert np.max(np.abs(superposition_family(spec, c, ph).matrix
@@ -397,7 +414,8 @@ class TestMemberStack:
         calls = self.count_eigvalsh(monkeypatch)
         stack = superposition_members(spec, np.linspace(0, 1, 7), np.linspace(0, 6, 9))
         assert calls == [(63, 3, 3)]
-        assert stack_states(stack, 3)[0] is stack.matrices
+        assert stack_states(stack, 3).matrices is stack.matrices
+        assert stack_states(stack, 3) is stack
 
     def test_one_eigvalsh_per_family_member(self, rng, monkeypatch):
         spec = SuperpositionSpec(*orthogonal_pure_pair(3, rng), 0.3, 0.7)
@@ -471,6 +489,26 @@ class TestMemberStack:
                                             for ph in config.phase_grid]
 
 
+class TestStackOperand:
+    """`stack_states` gives the one operand of the batched evaluators."""
+
+    def test_a_list_stacks_at_the_largest_member_tolerance(self):
+        tols = (1e-12, 1e-8, 1e-10)
+        states = [State(np.diag([p, 1.0 - p]), tol) for p, tol in zip((0.2, 0.5, 0.9), tols)]
+        stack = stack_states(states, 2)
+        assert isinstance(stack, StateStack)
+        assert stack.tol == 1e-8
+        assert np.array_equal(stack.matrices, np.array([x.matrix for x in states]))
+        assert not stack.matrices.flags.writeable
+
+    def test_stacking_a_list_checks_no_member_again(self, rng, monkeypatch):
+        states = random_members(rng, 3, 5)
+        calls = TestMemberStack.count_eigvalsh(monkeypatch)
+        stack = stack_states(states, 3)
+        assert calls == []
+        assert all(np.array_equal(stack[k].matrix, x.matrix) for k, x in enumerate(states))
+
+
 def pattern_readings(readings):
     """Every fire/no-fire pattern with its reading set, in table order: a
     channel that does not fire is read through the complement."""
@@ -528,7 +566,7 @@ class TestJointTable:
         for model, readings in table_cases(rng):
             members = random_members(rng, model.object_dim, 4)
             oracle = inclusion_exclusion_batch(model, readings,
-                                               *stack_states(members, model.object_dim))
+                                               stack_states(members, model.object_dim))
             for k, x in enumerate(members):
                 table = joint_outcome_distribution(model, readings, x)
                 assert list(table) == list(oracle)

@@ -54,10 +54,10 @@ def raises_validation_error(fn, *args) -> bool:
 
 # --- mutants ---------------------------------------------------------------
 
-def max_of_both_mismatches(model, mu, nu, a_mu, a_nu, matrices, tols):
+def max_of_both_mismatches(model, mu, nu, a_mu, a_nu, states):
     """The former theorem-2 definition: the larger of the two mismatch terms."""
     def m(b_mu, b_nu):
-        return m_eval_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), matrices, tols)
+        return m_eval_batch(model, ReadingSet({mu: b_mu, nu: b_nu}), states)
     return np.maximum(m(a_mu, linalg.complement(a_nu)), m(linalg.complement(a_mu), a_nu))
 
 
@@ -100,10 +100,12 @@ def spec_rejects_overlapping_branches():
 
 
 def prob_batch_rejects_a_trace_outside_the_unit_interval():
-    # the second matrix has unit trace but is not PSD: Tr[A X] = 2
+    # the second state is doctored past its checks: unit trace but not PSD, so Tr[A X] = 2
     a = linalg.Effect(np.diag([1.0, 0.0]))
-    matrices = np.array([np.diag([0.5, 0.5]), np.diag([2.0, -1.0])], dtype=complex)
-    return raises_validation_error(linalg.prob_batch, a, matrices, 1e-10)
+    bad = linalg.State(np.diag([0.5, 0.5]))
+    object.__setattr__(bad, "matrix", np.diag([2.0, -1.0]))
+    states = linalg.stack_states([linalg.State(np.diag([0.5, 0.5])), bad], 2)
+    return raises_validation_error(linalg.prob_batch, a, states)
 
 
 # name -> (module, attribute, replacement given the original, check)

@@ -93,6 +93,19 @@ class TestConfig:
         assert a.sha256() == config("fig1a_interference").sha256()
 
 
+    def test_config_and_spec_share_the_weight_rule(self):
+        message = r"^weights \(1.5, -0.5\) outside \[0, 1\]$"
+        with pytest.raises(ValidationError, match=message):
+            config("fig1a_interference", w1=1.5, w2=-0.5)
+        *_, x1, x2 = fig1c_setup()
+        with pytest.raises(ValidationError, match=message):
+            SuperpositionSpec(x1, x2, 1.5, -0.5)
+
+    def test_each_spelling_alone_is_accepted(self):
+        assert ScenarioConfig.from_dict({"tolerance": 1e-9}).tol == 1e-9
+        assert ScenarioConfig.from_dict({"tol": 1e-9}).tol == 1e-9
+        assert ScenarioConfig.from_dict({"w1": 0.25, "w2": 0.75}).w1 == 0.25
+
     def test_negative_tolerance_is_named(self):
         with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
             ScenarioConfig.from_dict({"tolerance": -1})
@@ -239,6 +252,52 @@ class TestCli:
         assert main(["run", path, "--format", "text"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert "residual max_coincidence_probability: null" in lines
+
+    @pytest.mark.parametrize("extra,members", [
+        pytest.param(CUSTOM_EXTRA, 40, id="pure"),
+        pytest.param({"x1": matrix_to_json(np.diag([1.0, 0.0, 0.0]).astype(complex)),
+                      "x2": matrix_to_json(np.diag([0.0, 0.5, 0.5]).astype(complex)),
+                      "channel_dims": [2, 2]}, 1, id="mixed"),
+    ])
+    def test_text_report_prints_nested_residuals(self, tmp_path, capsys, extra, members):
+        path = self.write_config(tmp_path, {"scenario": "custom", "extra": extra})
+        assert main(["run", path, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["scenario: custom", "pass: True", f"members_checked: {members}"]
+        assert [line.split(": ")[0] for line in lines[3:]] == [
+            "residual theorem2.max_disagreement", "residual theorem2.max_firing_deviation"]
+
+    def test_text_report_keeps_the_top_level_lines(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {"scenario": "stern_gerlach", "w1": 0.3,
+                                            "w2": 0.7, "trials": 100})
+        assert main(["run", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["run", path, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        top = [f"residual {k}: {v:.3e}" for k, v in sorted(report["residuals"].items())]
+        nested = [f"residual theorem2.{k}: {v:.3e}"
+                  for k, v in sorted(report["theorem2"]["residuals"].items())]
+        assert lines == ["scenario: stern_gerlach", "pass: True", *top, *nested]
+
+    @pytest.mark.parametrize("payload,keys", [
+        pytest.param({"weights": [0.3, 0.7], "w1": 0.6, "w2": 0.4}, ("weights", "w1"),
+                     id="weights-then-w1"),
+        pytest.param({"w1": 0.6, "w2": 0.4, "weights": [0.3, 0.7]}, ("weights", "w1"),
+                     id="w1-then-weights"),
+        pytest.param({"w2": 0.4, "weights": [0.3, 0.7]}, ("weights", "w2"),
+                     id="w2-then-weights"),
+        pytest.param({"tolerance": 1e-9, "tol": 1e-8}, ("tolerance", "tol"),
+                     id="tolerance-then-tol"),
+        pytest.param({"tol": 1e-8, "tolerance": 1e-9}, ("tolerance", "tol"),
+                     id="tol-then-tolerance"),
+    ])
+    def test_one_value_under_two_spellings_exits_two(self, tmp_path, capsys, payload, keys):
+        path = self.write_config(tmp_path, {"scenario": "fig1a_interference", **payload})
+        assert main(["run", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(repr(key) in err for key in keys)
 
     def test_sample_has_no_format_option(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {"scenario": "stern_gerlach", "trials": 5})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,16 @@ class TestOrthogonality:
     def test_spec_rejects_bad_weights(self):
         with pytest.raises(ValidationError, match="weights"):
             SuperpositionSpec(pure_state(E0), pure_state(E1), 0.7, 0.7)
+
+    @pytest.mark.parametrize("w1,w2", [(1 + 5e-11, -5e-11), (-5e-11, 1 + 5e-11),
+                                       (np.nan, 0.5), (0.5, np.nan)])
+    def test_spec_rejects_a_weight_outside_the_unit_interval(self, w1, w2):
+        # a weight within tol below 0 once passed, and its coherent members then
+        # took sqrt(w1 w2) of a negative number
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+                SuperpositionSpec(pure_state(E0), pure_state(E1), w1, w2)
 
 
 class TestMakePureSuperposition:

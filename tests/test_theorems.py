@@ -194,7 +194,7 @@ class TestInclusionExclusionOracle:
             assert direct[pattern] == pytest.approx(oracle[pattern], abs=1e-12)
 
     @staticmethod
-    def superset_sums(model, readings, matrices, tols):
+    def superset_sums(model, readings, states):
         """The former construction: each pattern as the alternating-sign sum
         over every superset of its firing channels."""
         channels = readings.channels
@@ -202,7 +202,7 @@ class TestInclusionExclusionOracle:
         for r in range(len(channels) + 1):
             for subset in combinations(channels, r):
                 picked = ReadingSet({c: readings.entries[c] for c in subset})
-                coincidence[subset] = m_eval_batch(model, picked, matrices, tols)
+                coincidence[subset] = m_eval_batch(model, picked, states)
         dist = {}
         for bits in product((1, 0), repeat=len(channels)):
             ones = tuple(c for c, b in zip(channels, bits) if b)
@@ -225,10 +225,9 @@ class TestInclusionExclusionOracle:
                                      pad_remainder=True)
         readings = ReadingSet({mu: random_effect(2, int(rng.integers(2**32)))
                                for mu in range(n)})
-        matrices, tols = stack_states([random_state(3, int(rng.integers(2**32)))
-                                       for _ in range(4)], 3)
-        table = inclusion_exclusion_batch(model, readings, matrices, tols)
-        former = self.superset_sums(model, readings, matrices, tols)
+        states = stack_states([random_state(3, int(rng.integers(2**32))) for _ in range(4)], 3)
+        table = inclusion_exclusion_batch(model, readings, states)
+        former = self.superset_sums(model, readings, states)
         assert list(table) == list(former)
         for bits in former:
             assert np.max(np.abs(table[bits] - former[bits])) <= 1e-14
